@@ -13,9 +13,11 @@ Subcommands
     Containment-mass tables and the spread-slope fit.
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 usage or
-configuration error.  Data outputs are byte-identical for identical
-(config, seed) at any thread count; the manifest additionally records
-wall-clock timings, so it is the one file excluded from that guarantee.
+configuration error, 3 numerical failure (ill-conditioned covariance,
+clipped spectrum, grid domain overflow, failed replica), reported as one
+stderr line.  Data outputs are byte-identical for identical (config,
+seed) at any thread count; the manifest additionally records wall-clock
+timings, so it is the one file excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .environment import EnvironmentHandle, covariance_selftest
+from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDomainError,
+                          SpectralClippingError, covariance_selftest)
 from .exponent import fluctuation_fit, xi_scan
-from .gibbs import ESTIMATE_CSV_HEADER, GibbsParams, estimate_csv_row
+from .gibbs import ESTIMATE_CSV_HEADER, GibbsParams, ReplicaError, estimate_csv_row
 from .verify import (BoundCheckReport, ball_bound_test, check_expo_ineq, check_log_moment_bounds,
                      concentration_scan, girsanov_identity_test, make_report, martingale_increment_probe,
-                     mean_control_test, random_expo_cases, suggested_halfwidth)
+                     mean_control_test, random_expo_cases)
 
 VERIFY_SUITES = ("lemma21", "lemma22", "girsanov", "meancontrol", "ball", "concentration", "increment")
 REPORT_CSV_HEADER = ("name", "estimate", "stderr", "lower_bound", "upper_bound", "margin_sigmas", "pass")
@@ -362,6 +365,11 @@ def main(argv=None) -> int:
         if args.command == "xi-scan":
             return cmd_xi_scan(cfg)
         return cmd_fluct_fit(cfg)
+    # before the ValueError clause: GridDomainError is a ValueError
+    except (CovarianceConditioningError, SpectralClippingError, GridDomainError,
+            ReplicaError) as exc:
+        print(f"polymerlab: numerical error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"polymerlab: error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,9 @@ Two backends:
     d = 1 only.  Synthesizes each slice on the uniform grid
     {-L, -L+h, ..., L} by circulant embedding of the covariance sequence
     (FFT), then snaps queries to the nearest node.  Cheap for large
-    ensembles.
+    ensembles.  :meth:`EnvironmentHandle.synthesize` is the one routine
+    that turns complex normals into grid fields; slices and any extra
+    redraws of the same field law go through it.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, domain-tag, index), so slice k's stream never depends on query
@@ -27,6 +29,7 @@ history of other slices or on thread scheduling.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -43,6 +46,11 @@ _DOMAIN_WALK = 2
 
 _JITTER = 1e-10
 _CLIP_TOLERANCE = 1e-6
+
+
+def suggested_halfwidth(n: int, drift: float = 0.0, margin: float = 1.0) -> float:
+    """Grid half-width covering 8-sigma path excursions plus a drift."""
+    return float(math.ceil(8.0 * math.sqrt(n) + abs(drift) + margin))
 
 
 class GridDomainError(ValueError):
@@ -121,7 +129,8 @@ class EnvironmentHandle:
             if self.h <= 0 or self.L < 0:
                 raise ValueError("grid spacing h must be > 0 and half-width L >= 0")
             self.n_nodes = int(round(2 * self.L / self.h)) + 1
-            self._sqrt_spectrum: np.ndarray | None = None
+            self.n_circ = 1 if self.n_nodes == 1 else 2 * self.n_nodes - 2
+            self._scaled_spectrum: np.ndarray | None = None
         else:
             self.h = None
             self.L = None
@@ -135,10 +144,11 @@ class EnvironmentHandle:
         return -self.L + self.h * np.arange(self.n_nodes)
 
     def _spectrum(self) -> np.ndarray:
-        # sqrt of circulant eigenvalues, computed once; negative eigenvalues
-        # are clipped to zero and the clipped fraction recorded.
-        if self._sqrt_spectrum is not None:
-            return self._sqrt_spectrum
+        # sqrt of circulant eigenvalues times sqrt(n_circ), computed once;
+        # negative eigenvalues are clipped to zero and the clipped fraction
+        # recorded.
+        if self._scaled_spectrum is not None:
+            return self._scaled_spectrum
         n = self.n_nodes
         cov_seq = gamma_eval(self.kernel, (self.h * np.arange(n))[:, None])
         cov_seq = np.atleast_1d(cov_seq)
@@ -152,8 +162,12 @@ class EnvironmentHandle:
             raise SpectralClippingError(
                 f"circulant embedding clipped {frac:.3e} of spectral mass (> {_CLIP_TOLERANCE}); "
                 "enlarge L or shrink the kernel length scale")
-        self._sqrt_spectrum = np.sqrt(np.clip(eig, 0.0, None))
-        return self._sqrt_spectrum
+        self._scaled_spectrum = np.sqrt(np.clip(eig, 0.0, None)) * np.sqrt(self.n_circ)
+        return self._scaled_spectrum
+
+    def synthesize(self, z: np.ndarray) -> np.ndarray:
+        """Grid fields from complex standard normals ``z`` of shape (..., n_circ)."""
+        return np.fft.ifft(self._spectrum() * z, axis=-1).real[..., :self.n_nodes]
 
     def build_grid_slice(self, k: int) -> np.ndarray:
         """Synthesize (or fetch) the field on the grid for slice k."""
@@ -167,11 +181,9 @@ class EnvironmentHandle:
             got = self._slices.get(k)
             if got is not None:
                 return got
-            sqrt_eig = self._spectrum()
-            n_circ = sqrt_eig.size
             rng = tagged_stream(self.seed, _DOMAIN_SLICE, k)
-            z = rng.standard_normal(n_circ) + 1j * rng.standard_normal(n_circ)
-            values = np.fft.ifft(sqrt_eig * np.sqrt(n_circ) * z).real[:self.n_nodes]
+            values = self.synthesize(rng.standard_normal(self.n_circ)
+                                     + 1j * rng.standard_normal(self.n_circ))
             values.flags.writeable = False
             self._slices[k] = values
             return values

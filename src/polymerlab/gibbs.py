@@ -9,8 +9,8 @@ free law as proposal, any path functional f is estimated by
 computed in log space.  Standard errors use the normalized-weight delta
 method; the effective sample size 1 / sum(normalized weights^2) is
 reported and a degeneracy warning is emitted when it falls below 1% of
-the ensemble size.  Environment averages of per-realization quantities
-are plain replica means with a cross-replica standard error.
+the ensemble size or below 2.  Environment averages of per-realization
+quantities are plain replica means with a cross-replica standard error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .environment import EnvironmentHandle
+from .kernels import KernelSpec
 from .parallel import parallel_map
 from .walk import PathEnsemble
 
@@ -74,15 +75,30 @@ def hamiltonian(env: EnvironmentHandle, paths: PathEnsemble) -> np.ndarray:
     return out
 
 
+def replica_hamiltonian(seed: int, paths: PathEnsemble, beta: float, kernel: KernelSpec,
+                        d: int = 1, backend: str = "grid", h: float | None = None,
+                        L: float | None = None) -> np.ndarray:
+    """H of ``paths`` in the field realization ``seed``; zeros, with no field built, at beta=0.
+
+    All paths are queried together per slice, so ensembles concatenated
+    into ``paths`` stay coupled on one realization on either backend.
+    """
+    if beta == 0:
+        return np.zeros(paths.M)
+    return hamiltonian(EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L), paths)
+
+
 def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     log_total = logsumexp(log_w)
     if not np.isfinite(log_total):
         raise ValueError("all importance weights vanished")
     w_bar = np.exp(log_w - log_total)
     ess = 1.0 / float(w_bar @ w_bar)
-    if ess < ESS_WARN_FRACTION * log_w.size:
+    # the floor of 2 catches total collapse in small ensembles; min() keeps M=1 silent
+    threshold = max(ESS_WARN_FRACTION * log_w.size, min(2.0, log_w.size))
+    if ess < threshold:
         warnings.warn(
-            f"effective sample size {ess:.1f} below {ESS_WARN_FRACTION:.0%} of M={log_w.size}",
+            f"effective sample size {ess:.1f} below {threshold:g} for M={log_w.size}",
             WeightDegeneracyWarning, stacklevel=3)
     return w_bar, ess
 

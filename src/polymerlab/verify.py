@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .environment import EnvironmentHandle, tagged_stream
-from .gibbs import GibbsParams, quenched_average
+from .environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
+from .gibbs import GibbsParams, quenched_average, replica_hamiltonian
 from .kernels import KernelSpec, gamma_matrix
 from .parallel import parallel_map
 from .quadrature import gauss_hermite_expect, gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean
@@ -33,11 +33,6 @@ _DOMAIN_PROBE_INNER_LO = 6
 # Resolution attributed to the quadrature oracle (its node-doubling
 # self-consistency is held to 1e-8 relative, i.e. four of these).
 _QUAD_RTOL = 2.5e-9
-
-
-def suggested_halfwidth(n: int, drift: float = 0.0, margin: float = 1.0) -> float:
-    """Grid half-width covering 8-sigma path excursions plus a drift."""
-    return float(math.ceil(8.0 * math.sqrt(n) + abs(drift) + margin))
 
 
 @dataclass(frozen=True)
@@ -232,21 +227,6 @@ def check_log_moment_bounds(mu_atoms, mu_weights, beta: float, kernel: KernelSpe
 # -- polymer-measure checks ---------------------------------------------------
 
 
-def _paired_hamiltonians(env: EnvironmentHandle, plain: PathEnsemble,
-                         tilted: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    # One query per slice covering both ensembles keeps the pair exactly
-    # coupled on a single realization.
-    m = plain.M
-    h0 = np.zeros(m)
-    h1 = np.zeros(m)
-    for k in range(1, plain.n + 1):
-        pos = np.concatenate([plain.positions[:, k - 1, :], tilted.positions[:, k - 1, :]])
-        vals = env.sample_slice_at(k, pos)
-        h0 += vals[:m]
-        h1 += vals[m:]
-    return h0, h1
-
-
 def _tilted_log_mass(seed: int, kernel: KernelSpec, n: int, M: int, beta: float,
                      tilt: TiltSpec, event_fn, d: int = 1, backend: str = "grid",
                      h: float | None = None, L: float | None = None) -> tuple[float, bool]:
@@ -255,11 +235,11 @@ def _tilted_log_mass(seed: int, kernel: KernelSpec, n: int, M: int, beta: float,
     tilted = tilt_path(paths, tilt)
     log_w = tilt_log_weight(tilted, tilt)
     hits = np.asarray(event_fn(tilted), dtype=bool)
-    if beta > 0:
-        env = EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L)
-        h0, h1 = _paired_hamiltonians(env, paths, tilted)
-    else:
-        h0 = h1 = np.zeros(M)
+    # One query per slice covering both ensembles keeps the pair exactly
+    # coupled on a single realization.
+    both = PathEnsemble(np.concatenate([paths.positions, tilted.positions]))
+    h0, h1 = np.split(replica_hamiltonian(seed, both, beta, kernel, d=d, backend=backend,
+                                          h=h, L=L), 2)
     if not hits.any():
         # add-one smoothing: one pseudo-hit out of M+1, a conservative
         # upper bound that keeps one-sided checks valid
@@ -285,13 +265,7 @@ def girsanov_identity_test(params: GibbsParams, lam: float, env_seeds,
     def one(seed: int) -> float:
         paths = sample_paths(seed, params.M, n, 1)
         log_m = lam * paths.endpoints[:, 0] - 0.5 * n * lam**2
-        if beta > 0:
-            env = EnvironmentHandle(seed, kernel, d=1, backend="grid", h=h, L=L_eff)
-            hv = np.zeros(params.M)
-            for k in range(1, n + 1):
-                hv += env.sample_slice_at(k, paths.positions[:, k - 1, :])
-        else:
-            hv = np.zeros(params.M)
+        hv = replica_hamiltonian(seed, paths, beta, kernel, h=h, L=L_eff)
         return float(logsumexp(beta * hv + log_m) - logsumexp(beta * hv))
 
     qa = quenched_average(env_seeds, one, threads=threads)
@@ -414,13 +388,7 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
 
         def one(seed: int, n=n, L_eff=L_eff) -> float:
             paths = sample_paths(seed, params.M, n, 1)
-            if params.beta > 0:
-                env = EnvironmentHandle(seed, kernel, d=1, backend="grid", h=h, L=L_eff)
-                hv = np.zeros(params.M)
-                for kk in range(1, n + 1):
-                    hv += env.sample_slice_at(kk, paths.positions[:, kk - 1, :])
-            else:
-                hv = np.zeros(params.M)
+            hv = replica_hamiltonian(seed, paths, params.beta, kernel, h=h, L=L_eff)
             if functional == "logZ":
                 return float(logsumexp(params.beta * hv) - math.log(params.M))
             mask = np.abs(paths.endpoints).max(axis=1) <= float(n) ** event_alpha
@@ -480,9 +448,7 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
     beta = params.beta
     L_eff = L if L is not None else suggested_halfwidth(n)
     template = EnvironmentHandle(seed, kernel, d=1, backend="grid", h=h, L=L_eff)
-    sqrt_eig = template._spectrum()
-    n_nodes = template.n_nodes
-    n_circ = sqrt_eig.size
+    n_circ = template.n_circ
 
     paths = sample_paths(seed, params.M, n, 1)
     idx = np.stack([template.snap(paths.positions[:, kk, :]) for kk in range(n)])  # (n, M)
@@ -499,7 +465,7 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
         for r in range(count):
             rng = tagged_stream(seed, domain, r)
             z = rng.standard_normal((len(slices), n_circ)) + 1j * rng.standard_normal((len(slices), n_circ))
-            fields = np.fft.ifft(sqrt_eig * np.sqrt(n_circ) * z, axis=1).real[:, :n_nodes]
+            fields = template.synthesize(z)
             for a, kk in enumerate(slices):
                 out[r, a] = fields[a, idx[kk - 1]]
         return out

@@ -126,3 +126,25 @@ def test_rerun_is_byte_identical_across_threads(tmp_path):
     assert main(["xi-scan", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
     assert main(["xi-scan", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
     assert (out1 / "xi_scan.csv").read_bytes() == (out2 / "xi_scan.csv").read_bytes()
+
+
+def test_numerical_failures_exit_three_with_one_line(tmp_path, capsys):
+    clipped = write_config(tmp_path, kernel={"kind": "squared-exponential", "lambda": 0.1},
+                           backend={"h": 0.5, "L": 2.0}, output_dir=str(tmp_path / "c"))
+    assert main(["xi-scan", "--config", clipped]) == 3
+    narrow = write_config(tmp_path, backend={"L": 1.0}, output_dir=str(tmp_path / "n"))
+    assert main(["xi-scan", "--config", narrow]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("polymerlab: numerical error: ") for line in err)
+
+
+@pytest.mark.parametrize("suite", ["meancontrol", "ball"])
+def test_verify_is_byte_identical_across_threads(tmp_path, suite):
+    cfg = write_config(tmp_path, M=100, R=10)
+    out1, out2 = tmp_path / "v1", tmp_path / "v2"
+    code = main(["verify", suite, "--config", cfg, "--out", str(out1), "--threads", "1"])
+    assert code in (0, 1)
+    assert main(["verify", suite, "--config", cfg, "--out", str(out2), "--threads", "2"]) == code
+    for name in (f"verify_{suite}.csv", "verify_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from polymerlab.environment import EnvironmentHandle
+from polymerlab.environment import EnvironmentHandle, GridDomainError
 from polymerlab.gibbs import (ESTIMATE_CSV_HEADER, GibbsEstimate, GibbsParams, ReplicaError,
                               WeightDegeneracyWarning, estimate_csv_row, gibbs_expect,
-                              hamiltonian, log_partition, quenched_average)
+                              hamiltonian, log_partition, quenched_average, replica_hamiltonian)
 from polymerlab.kernels import KernelSpec
-from polymerlab.walk import sample_paths
+from polymerlab.walk import PathEnsemble, sample_paths
 
 UNIT = KernelSpec()
 
@@ -51,6 +51,30 @@ def test_hamiltonian_two_steps_grid_lookup_oracle():
     s1, s2 = env.build_grid_slice(1), env.build_grid_slice(2)
     expected = s1[env.snap(paths.positions[:, 0, :])] + s2[env.snap(paths.positions[:, 1, :])]
     assert np.allclose(h, expected)
+
+
+def test_replica_hamiltonian_exact_backend_couples_a_doubled_ensemble():
+    paths = sample_paths(5, 30, 3, 2)
+    doubled = PathEnsemble(np.concatenate([paths.positions, paths.positions]))
+    h = replica_hamiltonian(5, doubled, 0.5, KernelSpec(kind="product-exponential"),
+                            d=2, backend="exact")
+    assert np.array_equal(h[:30], h[30:])
+
+
+def test_replica_hamiltonian_grid_halves_match_separate_queries():
+    a, b = sample_paths(6, 40, 4, 1), sample_paths(7, 40, 4, 1)
+    joint = replica_hamiltonian(6, PathEnsemble(np.concatenate([a.positions, b.positions])),
+                                0.5, UNIT, h=0.1, L=15.0)
+    env = EnvironmentHandle(6, UNIT, backend="grid", h=0.1, L=15.0)
+    assert np.array_equal(joint[:40], hamiltonian(env, a))
+    assert np.array_equal(joint[40:], hamiltonian(env, b))
+
+
+def test_replica_hamiltonian_beta_zero_builds_no_field():
+    paths = sample_paths(8, 20, 9, 1)
+    assert np.array_equal(replica_hamiltonian(8, paths, 0.0, UNIT, L=0.5), np.zeros(20))
+    with pytest.raises(GridDomainError):
+        replica_hamiltonian(8, paths, 0.5, UNIT, L=0.5)
 
 
 def test_log_partition_closed_forms():
