@@ -152,8 +152,9 @@ def _suite_meancontrol(cfg: RunConfig) -> list[BoundCheckReport]:
 
 
 def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
-    # The exact backend (d > 1) pays a per-slice Cholesky on 2M points, so
-    # replica and path counts are capped there.
+    # The exact backend (d > 1) pays, per slice, for building the covariance
+    # of 2M points and for its Cholesky factor, so replica and path counts
+    # are capped there.
     if cfg.d == 1:
         j_list, R_eff, M_eff = [(2,), (4,)], cfg.R, cfg.M
     else:

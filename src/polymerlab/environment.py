@@ -237,7 +237,9 @@ class EnvironmentHandle:
             rows[i] = row
         if new_pts:
             new = np.asarray(new_pts)
-            c_nn = gamma_matrix(self.kernel, new) + _JITTER * self.sigma2 * np.eye(len(new))
+            # gamma_matrix returns a fresh array: add the jitter to its diagonal in place.
+            c_nn = gamma_matrix(self.kernel, new)
+            c_nn.flat[::len(new) + 1] += _JITTER * self.sigma2
             try:
                 if m == 0:
                     l_new = np.linalg.cholesky(c_nn)

@@ -148,3 +148,14 @@ def test_verify_is_byte_identical_across_threads(tmp_path, suite):
     assert main(["verify", suite, "--config", cfg, "--out", str(out2), "--threads", "2"]) == code
     for name in (f"verify_{suite}.csv", "verify_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_exact_backend_ball_d2_is_byte_identical_across_threads(tmp_path):
+    cfg = write_config(tmp_path, d=2, kernel={"kind": "product-exponential"},
+                       backend={"kind": "exact"}, M=60, R=4)
+    out1, out2 = tmp_path / "v1", tmp_path / "v2"
+    code = main(["verify", "ball", "--config", cfg, "--out", str(out1), "--threads", "1"])
+    assert code in (0, 1)
+    assert main(["verify", "ball", "--config", cfg, "--out", str(out2), "--threads", "2"]) == code
+    for name in ("verify_ball.csv", "verify_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

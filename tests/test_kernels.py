@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polymerlab.kernels import KernelSpec, gamma_eval, gamma_matrix
+from polymerlab.kernels import KERNEL_KINDS, KernelSpec, _as_points, gamma_eval, gamma_matrix
 
 finite_reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -57,6 +57,53 @@ def test_gamma_matrix_matches_eval():
     for a in range(3):
         for b in range(3):
             assert mat[a, b] == pytest.approx(gamma_eval(spec, pts[a] - pts[b]))
+
+
+def broadcast_gamma_matrix(kernel, points_a, points_b=None, d=None):
+    """Reference: gamma_matrix written over one (m_a, m_b, d) lag array."""
+    pa = _as_points(points_a, d)
+    pb = pa if points_b is None else _as_points(points_b, d)
+    diff = pa[:, None, :] - pb[None, :, :]
+    if kernel.kind == "exponential-petermann":
+        return kernel.amplitude * np.exp(-kernel.lam * np.abs(diff).max(axis=2))
+    if kernel.kind == "squared-exponential":
+        return kernel.amplitude * np.exp(-0.5 * kernel.lam**2 * np.sum(diff**2, axis=2))
+    return np.prod(kernel.amplitude * np.exp(-kernel.lam * np.abs(diff)), axis=2)
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("two_sets", [False, True])
+def test_gamma_matrix_bytes_match_broadcast_form(kind, normalize, d, two_sets):
+    rng = np.random.default_rng(d)
+    a = rng.normal(scale=2.0, size=(40, d))
+    a[0], a[1], a[3], a[4, 0] = 0.0, -0.0, a[2], -0.0
+    b = np.concatenate([rng.normal(scale=2.0, size=(25, d)), a[:4]])
+    spec = KernelSpec(kind=kind, lam=0.7, normalize_unit_variance=normalize)
+    args = (a, b) if two_sets else (a,)
+    got = gamma_matrix(spec, *args)
+    assert_same_bytes(got, broadcast_gamma_matrix(spec, *args))
+    assert got.flags.writeable and got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_gamma_matrix_bare_vector_bytes_match_broadcast_form(kind):
+    x = np.array([0.0, -0.0, 0.5, 0.5, -1.3, 2.0])
+    y = np.array([-0.0, 0.5, 3.0])
+    spec = KernelSpec(kind=kind, lam=1.1)
+    for args in ((x,), (x, y)):
+        assert_same_bytes(gamma_matrix(spec, *args, d=1), broadcast_gamma_matrix(spec, *args, d=1))
+
+
+def test_gamma_matrix_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimension"):
+        gamma_matrix(KernelSpec(), np.zeros((3, 2)), np.zeros((4, 3)))
 
 
 def test_validation_errors():
