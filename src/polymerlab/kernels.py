@@ -106,28 +106,26 @@ def _fold_coordinates(pa: np.ndarray, pb: np.ndarray, term, fold) -> np.ndarray:
 def gamma_matrix(kernel: KernelSpec, points_a, points_b=None, d: int | None = None) -> np.ndarray:
     """Covariance matrix [gamma(a_i - b_j)] for two point sets within one slice.
 
-    Builds one (m_a, m_b) lag matrix per coordinate and folds them in
-    coordinate order with the kernel's reduction (max, sum of squares or
-    product of one-dimensional factors).  The elementwise operations and
-    their order are those of the broadcast form over an (m_a, m_b, d) lag
-    array, so the output bytes are the same; the squared-exponential
-    kernel in d >= 8 keeps that broadcast form.  The result is a fresh,
-    writable, C-contiguous array that callers may modify in place.
+    For the exponential-petermann and product-exponential kernels, builds one
+    (m_a, m_b) lag matrix per coordinate and folds them in coordinate order
+    with the kernel's reduction (max of the lags, product of one-dimensional
+    factors).  The elementwise operations and their order are those of the
+    broadcast form over an (m_a, m_b, d) lag array, so the output bytes are
+    the same.  The squared-exponential kernel uses the broadcast form.  The
+    result is a fresh, writable, C-contiguous array that callers may modify
+    in place.
     """
     pa = _as_points(points_a, d)
     pb = pa if points_b is None else _as_points(points_b, d)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"point sets differ in dimension: {pa.shape[1]} and {pb.shape[1]}")
+    if pa.shape[1] < 1:
+        raise ValueError("points must have dimension at least 1, got 0")
     if kernel.kind == "exponential-petermann":
         max_lag = _fold_coordinates(pa, pb, lambda lag: lag, np.maximum)
         return _exp_decay(max_lag, kernel.lam, kernel.amplitude)
     if kernel.kind == "squared-exponential":
-        if pa.shape[1] < 8:
-            sq_norm = _fold_coordinates(pa, pb, lambda lag: np.square(lag, out=lag), np.add)
-        else:
-            # NumPy sums eight or more terms pairwise, not in order, so a
-            # coordinate fold would round differently; keep its sum here.
-            sq_norm = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
-        return _exp_decay(sq_norm, 0.5 * kernel.lam**2, kernel.amplitude)
+        diff = pa[:, None, :] - pb[None, :, :]
+        return kernel.amplitude * np.exp(-0.5 * kernel.lam**2 * np.sum(diff**2, axis=2))
     return _fold_coordinates(pa, pb, lambda lag: _exp_decay(lag, kernel.lam, kernel.amplitude),
                              np.multiply)
