@@ -17,7 +17,8 @@ configuration error, 3 numerical failure (ill-conditioned covariance,
 clipped spectrum, grid domain overflow, failed replica), reported as one
 stderr line.  Data outputs are byte-identical for identical (config,
 seed) at any thread count; the manifest additionally records wall-clock
-timings, so it is the one file excluded from that guarantee.
+timings, so it is the one file excluded from that guarantee.  It also
+counts, by class, the warnings a command raised instead of printing them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import math
 import os
 import sys
 import time
+import warnings
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -217,15 +221,25 @@ def _out_dir(cfg: RunConfig) -> Path:
     return path
 
 
-def _manifest(cfg: RunConfig, command: str, outputs: list[str], timings: dict, summary: dict) -> dict:
-    return {
+@contextmanager
+def _recorded_warnings():
+    """Record the block's warnings, worker threads' included, instead of printing them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")     # keeps repeats, so counts match at any thread count
+        yield caught
+
+
+def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str], timings: dict,
+                    summary: dict, caught: list) -> None:
+    _write_json(out / "manifest.json", {
         "artifact_version": __version__,
         "command": command,
         "config": cfg.raw,
         "outputs": outputs,
         "timings_seconds": timings,
         "summary": summary,
-    }
+        "warnings": dict(Counter(w.category.__name__ for w in caught)),
+    })
 
 
 def cmd_env_check(cfg: RunConfig) -> int:
@@ -237,7 +251,8 @@ def cmd_env_check(cfg: RunConfig) -> int:
     env = EnvironmentHandle(cfg.seed, cfg.kernel, d=cfg.d, backend=cfg.backend_kind,
                             h=cfg.h, L=L if cfg.backend_kind == "grid" else None)
     t0 = time.perf_counter()
-    rows = covariance_selftest(env, points, n_seeds=max(1000, cfg.R))
+    with _recorded_warnings() as caught:
+        rows = covariance_selftest(env, points, n_seeds=max(1000, cfg.R))
     elapsed = time.perf_counter() - t0
 
     def tag(position) -> str:
@@ -250,8 +265,7 @@ def cmd_env_check(cfg: RunConfig) -> int:
                 for r in rows])
     worst = max(abs(r.z) for r in rows)
     summary = {"pairs": len(rows), "worst_abs_z": worst, "passed": worst < 4.0}
-    _write_json(out / "manifest.json",
-                _manifest(cfg, "env-check", ["env_check.csv"], {"env-check": elapsed}, summary))
+    _write_manifest(out, cfg, "env-check", ["env_check.csv"], {"env-check": elapsed}, summary, caught)
     return 0 if worst < 4.0 else 1
 
 
@@ -262,19 +276,20 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     timings = {}
     summary = {}
     all_passed = True
-    for name in names:
-        t0 = time.perf_counter()
-        reports = _SUITE_RUNNERS[name](cfg)
-        timings[name] = time.perf_counter() - t0
-        filename = f"verify_{name}.csv"
-        _write_csv(out / filename, REPORT_CSV_HEADER, _report_rows(reports))
-        outputs.append(filename)
-        summary[name] = _summarize(reports)
-        all_passed = all_passed and all(r.passed for r in reports)
+    with _recorded_warnings() as caught:
+        for name in names:
+            t0 = time.perf_counter()
+            reports = _SUITE_RUNNERS[name](cfg)
+            timings[name] = time.perf_counter() - t0
+            filename = f"verify_{name}.csv"
+            _write_csv(out / filename, REPORT_CSV_HEADER, _report_rows(reports))
+            outputs.append(filename)
+            summary[name] = _summarize(reports)
+            all_passed = all_passed and all(r.passed for r in reports)
     summary["all_passed"] = all_passed
     _write_json(out / "verify_summary.json", summary)
     outputs.append("verify_summary.json")
-    _write_json(out / "manifest.json", _manifest(cfg, f"verify {suite}", outputs, timings, summary))
+    _write_manifest(out, cfg, f"verify {suite}", outputs, timings, summary, caught)
     return 0 if all_passed else 1
 
 
@@ -283,18 +298,18 @@ def cmd_xi_scan(cfg: RunConfig) -> int:
     params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
     t0 = time.perf_counter()
     rows = []
-    for event in ("endpoint", "running_max"):
-        rows += xi_scan(cfg.alphas, cfg.n_grid, params, cfg.env_seeds(), event=event,
-                        kernel=cfg.kernel, d=cfg.d, backend=cfg.backend_kind,
-                        h=cfg.h, L=cfg.L, threads=cfg.threads)
+    with _recorded_warnings() as caught:
+        for event in ("endpoint", "running_max"):
+            rows += xi_scan(cfg.alphas, cfg.n_grid, params, cfg.env_seeds(), event=event,
+                            kernel=cfg.kernel, d=cfg.d, backend=cfg.backend_kind,
+                            h=cfg.h, L=cfg.L, threads=cfg.threads)
     elapsed = time.perf_counter() - t0
     _write_csv(out / "xi_scan.csv",
                ("n", "alpha", "event", "mass_mean", "mass_stderr", "R", "M", "seed"),
                [(r.n, r.alpha, r.event, r.mass_mean, r.mass_stderr, r.R, r.M, cfg.seed)
                 for r in rows])
-    summary = {"rows": len(rows)}
-    _write_json(out / "manifest.json",
-                _manifest(cfg, "xi-scan", ["xi_scan.csv"], {"xi-scan": elapsed}, summary))
+    _write_manifest(out, cfg, "xi-scan", ["xi_scan.csv"], {"xi-scan": elapsed},
+                    {"rows": len(rows)}, caught)
     return 0
 
 
@@ -302,8 +317,9 @@ def cmd_fluct_fit(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
     t0 = time.perf_counter()
-    fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(), kernel=cfg.kernel,
-                          backend=cfg.backend_kind, h=cfg.h, L=cfg.L, threads=cfg.threads)
+    with _recorded_warnings() as caught:
+        fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(), kernel=cfg.kernel,
+                              backend=cfg.backend_kind, h=cfg.h, L=cfg.L, threads=cfg.threads)
     elapsed = time.perf_counter() - t0
     fit_doc = {
         "xi_hat": fit.xi_hat, "ci_low": fit.ci_low, "ci_high": fit.ci_high,
@@ -316,9 +332,8 @@ def cmd_fluct_fit(cfg: RunConfig) -> int:
                                     float("nan"), cfg.M, cfg.R, cfg.seed)
                    for n, med in zip(fit.n_grid, fit.spreads_median)]
     _write_csv(out / "fluct_fit_spreads.csv", ESTIMATE_CSV_HEADER, spread_rows)
-    _write_json(out / "manifest.json",
-                _manifest(cfg, "fluct-fit", ["fluct_fit.json", "fluct_fit_spreads.csv"],
-                          {"fluct-fit": elapsed}, {"xi_hat": fit.xi_hat}))
+    _write_manifest(out, cfg, "fluct-fit", ["fluct_fit.json", "fluct_fit_spreads.csv"],
+                    {"fluct-fit": elapsed}, {"xi_hat": fit.xi_hat}, caught)
     return 0
 
 

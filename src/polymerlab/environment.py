@@ -141,12 +141,6 @@ class EnvironmentHandle:
 
     # -- grid backend ----------------------------------------------------
 
-    @property
-    def grid_nodes(self) -> np.ndarray:
-        if self.backend != "grid":
-            raise ValueError("grid_nodes is only defined for the grid backend")
-        return -self.L + self.h * np.arange(self.n_nodes)
-
     def _spectrum(self) -> np.ndarray:
         # sqrt of circulant eigenvalues times sqrt(n_circ), computed once;
         # negative eigenvalues are clipped to zero and the clipped fraction

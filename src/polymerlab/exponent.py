@@ -12,16 +12,15 @@ scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import suggested_halfwidth
-from .gibbs import GibbsParams, gibbs_expect, replica_hamiltonian
+from .gibbs import GibbsParams, gibbs_expect, quenched_average, replica_hamiltonian
 from .gibbs import hamiltonian  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .kernels import KernelSpec, _as_points
-from .parallel import parallel_map
+from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .walk import running_max_norm, sample_paths
 
 
@@ -110,15 +109,11 @@ def xi_scan(alphas, n_grid, params: GibbsParams, env_seeds, event: str = "endpoi
     rows = []
     for n in n_grid:
         L_eff = L if L is not None else suggested_halfwidth(n)
-        masses = np.array(parallel_map(
-            lambda s: _cell_masses(s, n, alphas, params, event, kernel, d, backend, h, L_eff),
-            seeds, threads))            # (R, n_alphas)
-        for a_idx, alpha in enumerate(alphas):
-            col = masses[:, a_idx]
-            rows.append(ScanRow(n=int(n), alpha=alpha, event=event,
-                                mass_mean=float(col.mean()),
-                                mass_stderr=float(col.std(ddof=1) / math.sqrt(len(seeds))),
-                                R=len(seeds), M=params.M))
+        qa = quenched_average(seeds, lambda s: _cell_masses(
+            s, n, alphas, params, event, kernel, d, backend, h, L_eff), threads=threads)
+        rows += [ScanRow(n=int(n), alpha=alpha, event=event, mass_mean=float(mean),
+                         mass_stderr=float(stderr), R=qa.R, M=params.M)
+                 for alpha, mean, stderr in zip(alphas, qa.mean, qa.stderr)]
     return rows
 
 
@@ -165,7 +160,7 @@ def fluctuation_fit(n_grid, params: GibbsParams, env_seeds,
                                       hamiltonian_values=hv).value
         return out
 
-    values = np.array(parallel_map(one, seeds, threads))        # (R, len(n))
+    values = quenched_average(seeds, one, threads=threads).values       # (R, len(n))
     medians = np.median(values, axis=0)
     means = values.mean(axis=0)
 

@@ -9,8 +9,8 @@ free law as proposal, any path functional f is estimated by
 computed in log space.  Standard errors use the normalized-weight delta
 method; the effective sample size 1 / sum(normalized weights^2) is
 reported and a degeneracy warning is emitted when it falls below 1% of
-the ensemble size or below 2.  Environment averages of per-realization
-quantities are plain replica means with a cross-replica standard error.
+the ensemble size or below 2.  :func:`quenched_average` takes every
+environment average: a replica mean with a cross-replica standard error.
 """
 
 from __future__ import annotations
@@ -156,24 +156,24 @@ def gibbs_expect(env: EnvironmentHandle, ensemble: PathEnsemble, beta: float, f,
 
 @dataclass(frozen=True)
 class QuenchedAverage:
-    """Environment average of a per-realization quantity."""
+    """Environment average of a per-realization quantity, scalar or vector."""
 
-    mean: float
-    stderr: float
-    values: np.ndarray          # one entry per environment replica
+    mean: float | np.ndarray
+    stderr: float | np.ndarray
+    values: np.ndarray          # one row per environment replica: (R,) or (R, k)
 
     @property
     def R(self) -> int:
-        return self.values.size
+        return len(self.values)
 
 
 def quenched_average(env_seeds, estimator, threads: int = 1) -> QuenchedAverage:
-    """Average ``estimator(seed)`` over environment replicas.
+    """Average ``estimator(seed)`` over environment replicas: the package's one fan-out over them.
 
-    ``estimator`` maps an environment seed to a float (typically a
-    quenched log-functional for the realization with that seed).
+    ``estimator`` maps an environment seed to a float or to a fixed-length
+    vector of floats; for a vector, ``mean`` and ``stderr`` are per entry.
     Replicas may run on a thread pool; results reduce in replica order,
-    and any replica failure aborts with the replica index attached.
+    and any replica failure aborts as ``ReplicaError`` naming its index and seed.
     """
     seeds = list(env_seeds)
     if len(seeds) < 2:
@@ -182,14 +182,18 @@ def quenched_average(env_seeds, estimator, threads: int = 1) -> QuenchedAverage:
     def guarded(item):
         r, seed = item
         try:
-            return float(estimator(seed))
+            return np.asarray(estimator(seed), dtype=float)
         except Exception as exc:
             raise ReplicaError(f"environment replica {r} (seed {seed}) failed: {exc}") from exc
 
     values = np.array(parallel_map(guarded, list(enumerate(seeds)), threads))
-    return QuenchedAverage(mean=float(values.mean()),
-                           stderr=float(values.std(ddof=1) / np.sqrt(len(seeds))),
-                           values=values)
+    # one 1-D column at a time: mean(axis=0) sums in a different order
+    cols = values.reshape(len(seeds), -1).T
+    mean = np.array([col.mean() for col in cols])
+    stderr = np.array([col.std(ddof=1) for col in cols]) / np.sqrt(len(seeds))
+    if values.ndim == 1:
+        return QuenchedAverage(mean=float(mean[0]), stderr=float(stderr[0]), values=values)
+    return QuenchedAverage(mean=mean, stderr=stderr, values=values)
 
 
 # -- CSV row format for estimates (consumed by the CLI and by analyses) --

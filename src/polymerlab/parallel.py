@@ -1,4 +1,4 @@
-"""Deterministic fan-out over independent work items.
+"""Deterministic fan-out over environment replicas for ``gibbs.quenched_average``.
 
 Work items carry their own seeds, so results are identical whatever the
 thread count; outputs are collected in submission order.

@@ -15,6 +15,7 @@ from scipy.special import logsumexp
 from .environment import _JITTER, CovarianceConditioningError
 
 MAX_GRID_POINTS = 40_000_000
+MC_CHUNK = 200_000              # Monte Carlo draws generated per batch
 
 
 def _chol(cov: np.ndarray) -> np.ndarray:
@@ -58,15 +59,14 @@ def gauss_hermite_mean(cov: np.ndarray, integrand, n_nodes: int = 40) -> float:
     return float(np.exp(log_w) @ integrand(z @ chol.T))
 
 
-def _mc_mean(cov: np.ndarray, fn, n_draws: int, rng: np.random.Generator,
-             chunk: int) -> tuple[float, float]:
+def _mc_mean(cov: np.ndarray, fn, n_draws: int, rng: np.random.Generator) -> tuple[float, float]:
     chol = _chol(cov)
     m = len(chol)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_draws:
-        take = min(chunk, n_draws - done)
+        take = min(MC_CHUNK, n_draws - done)
         vals = fn(rng.standard_normal((take, m)) @ chol.T)
         total += vals.sum()
         total_sq += float(vals @ vals)
@@ -76,13 +76,13 @@ def _mc_mean(cov: np.ndarray, fn, n_draws: int, rng: np.random.Generator,
     return float(mean), float(np.sqrt(var / n_draws))
 
 
-def monte_carlo_expect(cov: np.ndarray, log_integrand, n_draws: int, rng: np.random.Generator,
-                       chunk: int = 200_000) -> tuple[float, float]:
+def monte_carlo_expect(cov: np.ndarray, log_integrand, n_draws: int,
+                       rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo E[exp(log_integrand(g))] with its standard error."""
-    return _mc_mean(cov, lambda g: np.exp(log_integrand(g)), n_draws, rng, chunk)
+    return _mc_mean(cov, lambda g: np.exp(log_integrand(g)), n_draws, rng)
 
 
-def monte_carlo_mean(cov: np.ndarray, integrand, n_draws: int, rng: np.random.Generator,
-                     chunk: int = 200_000) -> tuple[float, float]:
+def monte_carlo_mean(cov: np.ndarray, integrand, n_draws: int,
+                     rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo E[integrand(g)] with its standard error."""
-    return _mc_mean(cov, integrand, n_draws, rng, chunk)
+    return _mc_mean(cov, integrand, n_draws, rng)

@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from .environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
 from .gibbs import GibbsParams, quenched_average, replica_hamiltonian
 from .kernels import KernelSpec, gamma_matrix
-from .parallel import parallel_map
+from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .quadrature import gauss_hermite_expect, gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean
 from .walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_path
 
@@ -248,6 +248,14 @@ def _tilted_log_mass(seed: int, kernel: KernelSpec, n: int, M: int, beta: float,
     return float(value), False
 
 
+def _tilted_report(name: str, bound: float, env_seeds, threads: int, **mass_args) -> BoundCheckReport:
+    """Quenched mean of :func:`_tilted_log_mass` against an upper bound."""
+    qa = quenched_average(env_seeds, lambda s: _tilted_log_mass(s, **mass_args), threads=threads)
+    smoothed = int(qa.values[:, 1].sum())
+    return make_report(name, qa.mean[0], qa.stderr[0], upper=bound,
+                       notes=f"smoothed_replicas={smoothed}" if smoothed else "")
+
+
 def girsanov_identity_test(params: GibbsParams, lam: float, env_seeds,
                            kernel: KernelSpec = KernelSpec(),
                            h: float | None = None, L: float | None = None,
@@ -283,21 +291,13 @@ def mean_control_test(alpha: float, n_grid, params: GibbsParams, env_seeds,
     reports = []
     for n in n_grid:
         a = float(n) ** alpha
-        tilt = TiltSpec(lambda_tilde=np.array([a]), k=n)
-        L_eff = L if L is not None else suggested_halfwidth(n, drift=a)
-
-        raw = parallel_map(lambda s: _tilted_log_mass(
-            s, kernel, n, params.M, params.beta, tilt,
-            lambda t: t.endpoints[:, 0] >= a, h=h, L=L_eff), list(env_seeds), threads)
-        values = np.array([v for v, _ in raw])
-        smoothed = sum(1 for _, s in raw if s)
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / np.sqrt(len(values)))
-        bound = -0.5 * float(n) ** (2 * alpha - 1)
-        reports.append(make_report(
+        reports.append(_tilted_report(
             f"mean_control(n={n},alpha={alpha:g},beta={params.beta:g})",
-            mean, stderr, upper=bound,
-            notes=f"smoothed_replicas={smoothed}" if smoothed else ""))
+            -0.5 * float(n) ** (2 * alpha - 1), env_seeds, threads,
+            kernel=kernel, n=n, M=params.M, beta=params.beta,
+            tilt=TiltSpec(lambda_tilde=np.array([a]), k=n),
+            event_fn=lambda t: t.endpoints[:, 0] >= a,
+            h=h, L=L if L is not None else suggested_halfwidth(n, drift=a)))
     return reports
 
 
@@ -331,16 +331,11 @@ def ball_bound_test(alpha: float, n: int, k: int, j, params: GibbsParams, env_se
     def event(t: PathEnsemble) -> np.ndarray:
         return np.abs(t.positions[:, k - 1, :] - center).max(axis=1) <= radius
 
-    raw = parallel_map(lambda s: _tilted_log_mass(
-        s, kernel, n, params.M, params.beta, tilt, event,
-        d=d, backend=backend, h=h, L=L_eff), list(env_seeds), threads)
-    values = np.array([v for v, _ in raw])
-    smoothed = sum(1 for _, s in raw if s)
-    bound = -0.5 * float(n) ** (2 * alpha - 1) * float(((j - eps) ** 2).sum())
-    return make_report(
+    return _tilted_report(
         f"ball_bound(n={n},k={k},j={tuple(int(x) for x in j)},alpha={alpha:g},beta={params.beta:g})",
-        float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values))),
-        upper=bound, notes=f"smoothed_replicas={smoothed}" if smoothed else "")
+        -0.5 * float(n) ** (2 * alpha - 1) * float(((j - eps) ** 2).sum()), env_seeds, threads,
+        kernel=kernel, n=n, M=params.M, beta=params.beta, tilt=tilt, event_fn=event,
+        d=d, backend=backend, h=h, L=L_eff)
 
 
 # -- concentration ------------------------------------------------------------
@@ -396,14 +391,13 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
                 raise ValueError(f"event for logW_event has no sampled mass at n={n}")
             return float(logsumexp(params.beta * hv[mask]) - math.log(params.M))
 
-        values = np.array(parallel_map(one, seeds, threads))
-        mean = float(values.mean())
-        std = float(values.std(ddof=1))
+        qa = quenched_average(seeds, one, threads=threads)
+        std = float(qa.values.std(ddof=1))
         thr = float(n) ** nu
-        freq = float(np.mean(np.abs(values - mean) >= thr))
+        freq = float(np.mean(np.abs(qa.values - qa.mean) >= thr))
         freq_se = float(np.sqrt(max(freq * (1 - freq), 1.0 / len(seeds)) / len(seeds)))
         rows.append(ConcentrationRow(
-            n=int(n), R=len(seeds), mean=mean, std=std,
+            n=int(n), R=len(seeds), mean=qa.mean, std=std,
             exceedance_freq=freq, exceedance_stderr=freq_se,
             paper_bound=concentration_bound(n, nu), std_over_n_nu=std / thr))
     return rows

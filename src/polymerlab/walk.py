@@ -30,7 +30,6 @@ class PathEnsemble:
     """M independent walks of length n in dimension d; positions S_1..S_n."""
 
     positions: np.ndarray       # (M, n, d)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.positions.ndim != 3:
@@ -47,10 +46,6 @@ class PathEnsemble:
         return self.positions.shape[1]
 
     @property
-    def d(self) -> int:
-        return self.positions.shape[2]
-
-    @property
     def endpoints(self) -> np.ndarray:
         return self.positions[:, -1, :]
 
@@ -64,7 +59,7 @@ def sample_paths(seed: int, M: int, n: int, d: int = 1) -> PathEnsemble:
         stop = min(start + REPLICA_BLOCK, M)
         rng = tagged_stream(seed, _DOMAIN_WALK, start // REPLICA_BLOCK)
         increments[start:stop] = rng.standard_normal((stop - start, n, d))
-    return PathEnsemble(positions=increments.cumsum(axis=1), seed=int(seed))
+    return PathEnsemble(positions=increments.cumsum(axis=1))
 
 
 @dataclass(frozen=True)

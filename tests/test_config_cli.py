@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,35 @@ def test_rerun_is_byte_identical_across_threads(tmp_path):
     assert (out1 / "xi_scan.csv").read_bytes() == (out2 / "xi_scan.csv").read_bytes()
 
 
+def test_fluct_fit_rerun_is_byte_identical_across_threads(tmp_path):
+    cfg = write_config(tmp_path, beta=0.5, M=150, R=8, n_grid=[4, 9, 16, 25])
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["fluct-fit", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["fluct-fit", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+    for name in ("fluct_fit.json", "fluct_fit_spreads.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["xi-scan", "fluct-fit"])
+def test_degeneracy_warnings_are_counted_not_printed(tmp_path, capsys, command):
+    # beta = 1.5 with M = 50 collapses the importance weights of some replicas
+    cfg = write_config(tmp_path, beta=1.5, M=50, R=4, n_grid=[4, 9, 16, 25])
+    counts, data = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert escaped == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "warnings" not in manifest["summary"]
+        counts.append(manifest["warnings"])
+        data.append({name: (out / name).read_bytes() for name in manifest["outputs"]})
+    assert counts[0]["WeightDegeneracyWarning"] > 0 and counts[0] == counts[1]
+    assert data[0] == data[1]
+    assert capsys.readouterr().err == ""
+
+
 def test_numerical_failures_exit_three_with_one_line(tmp_path, capsys):
     clipped = write_config(tmp_path, kernel={"kind": "squared-exponential", "lambda": 0.1},
                            backend={"h": 0.5, "L": 2.0}, output_dir=str(tmp_path / "c"))
@@ -139,9 +169,14 @@ def test_numerical_failures_exit_three_with_one_line(tmp_path, capsys):
     assert all(line.startswith("polymerlab: numerical error: ") for line in err)
 
 
-@pytest.mark.parametrize("suite", ["meancontrol", "ball"])
+# concentration needs R >= 200 replicas, so it runs with few paths per replica
+THREADS_CONFIGS = {"meancontrol": {"M": 100, "R": 10}, "ball": {"M": 100, "R": 10},
+                   "girsanov": {"M": 100, "R": 10}, "concentration": {"M": 20, "R": 200}}
+
+
+@pytest.mark.parametrize("suite", list(THREADS_CONFIGS))
 def test_verify_is_byte_identical_across_threads(tmp_path, suite):
-    cfg = write_config(tmp_path, M=100, R=10)
+    cfg = write_config(tmp_path, **THREADS_CONFIGS[suite])
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     code = main(["verify", suite, "--config", cfg, "--out", str(out1), "--threads", "1"])
     assert code in (0, 1)

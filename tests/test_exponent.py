@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from polymerlab.environment import EnvironmentHandle, tagged_stream
 from polymerlab.exponent import ball_index_of, ball_indices, fluctuation_fit, xi_scan
-from polymerlab.gibbs import GibbsParams, gibbs_expect, hamiltonian
+from polymerlab.gibbs import GibbsParams, ReplicaError, gibbs_expect, hamiltonian
 from polymerlab.kernels import KernelSpec
 from polymerlab.walk import running_max_norm, sample_paths
 
@@ -106,3 +106,12 @@ def test_fluctuation_fit_needs_four_distinct_n():
         fluctuation_fit([16, 16, 16, 16], params, range(4))
     with pytest.raises(ValueError):
         fluctuation_fit([8, 16], params, range(4))
+
+
+def test_scan_and_fit_name_the_failed_replica():
+    # L = 1 is far too narrow a grid for n = 9 walks
+    params = GibbsParams(beta=0.5, n=9, M=50, R=2)
+    with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\)"):
+        xi_scan([0.8], [9], params, range(2), L=1.0)
+    with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\)"):
+        fluctuation_fit([4, 9, 16, 25], params, range(2), L=1.0)

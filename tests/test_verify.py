@@ -254,6 +254,22 @@ def test_concentration_logw_event_functional():
     assert 0.0 <= rows[0].exceedance_freq <= 1.0
 
 
+def test_concentration_logw_event_without_mass_names_the_replica():
+    with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\).*no sampled mass"):
+        concentration_scan(GibbsParams(beta=0.5, n=8, M=50, R=200), 0.75, [8], range(200),
+                           functional="logW_event", event_alpha=-5.0)
+
+
+def test_replica_fan_outs_name_the_failed_replica():
+    # L = 1 is far too narrow a grid for n = 9 walks
+    params = GibbsParams(beta=0.5, n=9, M=50, R=200)
+    for run in (lambda: mean_control_test(0.8, [9], params, range(2), L=1.0),
+                lambda: ball_bound_test(0.75, 9, 9, [2], params, range(2), L=1.0),
+                lambda: concentration_scan(params, 0.75, [9], range(200), L=1.0)):
+        with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\)"):
+            run()
+
+
 # -- martingale increment probe -------------------------------------------------------
 
 
