@@ -17,8 +17,9 @@ configuration error, 3 numerical failure (ill-conditioned covariance,
 clipped spectrum, grid domain overflow, failed replica), reported as one
 stderr line.  Data outputs are byte-identical for identical (config,
 seed) at any thread count; the manifest additionally records wall-clock
-timings, so it is the one file excluded from that guarantee.  It also
-counts, by class, the warnings a command raised instead of printing them.
+timings and the process's peak resident memory (``peak_rss_mib``), so it
+is the one file excluded from that guarantee.  It also counts, by class,
+the warnings a command raised instead of printing them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
 import time
 import warnings
@@ -239,6 +241,7 @@ def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str],
         "timings_seconds": timings,
         "summary": summary,
         "warnings": dict(Counter(w.category.__name__ for w in caught)),
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
     })
 
 

@@ -70,7 +70,16 @@ class SpectralClippingError(RuntimeError):
 
 
 def tagged_stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Independent Philox stream for (seed, domain, index)."""
+    """Independent Philox stream for (seed, domain, index).
+
+    The second key word packs ``domain`` into its top 16 bits and ``index``
+    into its low 48, so both must fit their fields: ``0 <= domain < 2**16``
+    and ``0 <= index < 2**48``, else ``ValueError`` (an overflowing index
+    would alias another stream).
+    """
+    if not (0 <= domain < 1 << 16 and 0 <= index < 1 << 48):
+        raise ValueError(f"stream tag out of range: domain={domain} (need [0, 2**16)), "
+                         f"index={index} (need [0, 2**48))")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((domain << 48) | index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -5,6 +5,14 @@ handful of field points, used to certify the exponential-moment and
 log-moment inequalities independently of any sampler.  A plain
 Monte Carlo companion with the same calling convention provides the
 cross-check at 4-sigma.
+
+Both oracles work in batches of at most ``MC_CHUNK`` nodes or draws, so
+the node matrix, ``z @ chol.T`` and the integrand's temporaries never
+exceed one batch.  The quadrature still keeps its n^m per-node log terms
+(or weights and integrand values) and reduces them once, with the same
+``logsumexp`` or dot product as a one-shot grid, so the result does not
+depend on the batch size; that n^m reduction array is the memory that
+still scales with the grid (about 20 MiB per array at 40^4 nodes).
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from scipy.special import logsumexp
 from .environment import _JITTER, CovarianceConditioningError
 
 MAX_GRID_POINTS = 40_000_000
-MC_CHUNK = 200_000              # Monte Carlo draws generated per batch
+MC_CHUNK = 200_000              # quadrature nodes or Monte Carlo draws per batch
 
 
 def _chol(cov: np.ndarray) -> np.ndarray:
@@ -28,16 +36,36 @@ def _chol(cov: np.ndarray) -> np.ndarray:
             "quadrature covariance is numerically non-positive-definite") from exc
 
 
-def _tensor_grid(m: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard-normal tensor nodes (n^m, m) and their log weights (n^m,)."""
+def _grid_size(m: int, n_nodes: int) -> int:
     if n_nodes**m > MAX_GRID_POINTS:
         raise ValueError(
             f"tensor grid {n_nodes}^{m} exceeds {MAX_GRID_POINTS} points; "
             "reduce the support size or the node count")
+    return n_nodes**m
+
+
+def _batches(total: int, limit: int) -> list[slice]:
+    """Consecutive near-equal ranges covering [0, total), each at most ``limit`` long.
+
+    Equal sizes leave no one-row tail batch: NumPy sends a one-row product
+    to another BLAS routine (dot instead of gemv, gemv instead of gemm),
+    which can round differently from the one every other batch and a
+    one-shot product use.
+    """
+    count = max(1, -(-total // limit))
+    return [slice(total * b // count, total * (b + 1) // count) for b in range(count)]
+
+
+def _tensor_batches(m: int, n_nodes: int):
+    """(flat-index slice, standard-normal nodes (k, m), log weights (k,)) per batch.
+
+    Consecutive C-order ranges of the n^m tensor grid, k <= ``MC_CHUNK``.
+    """
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
     log_w1 = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
-    idx = np.indices((n_nodes,) * m).reshape(m, -1)
-    return nodes[idx].T.copy(), log_w1[idx].sum(axis=0)
+    for rows in _batches(n_nodes**m, MC_CHUNK):
+        idx = np.array(np.unravel_index(np.arange(rows.start, rows.stop), (n_nodes,) * m))
+        yield rows, nodes[idx].T.copy(), log_w1[idx].sum(axis=0)
 
 
 def gauss_hermite_expect(cov: np.ndarray, log_integrand, n_nodes: int = 40) -> float:
@@ -45,18 +73,28 @@ def gauss_hermite_expect(cov: np.ndarray, log_integrand, n_nodes: int = 40) -> f
 
     ``log_integrand`` maps an (n_points, m) array of field values to the
     (n_points,) log of the integrand; doing everything in logs keeps
-    exponential integrands finite.
+    exponential integrands finite.  It is called once per batch of at
+    most ``MC_CHUNK`` nodes.
     """
     chol = _chol(cov)
-    z, log_w = _tensor_grid(len(chol), n_nodes)
-    return float(np.exp(logsumexp(log_w + log_integrand(z @ chol.T))))
+    terms = np.empty(_grid_size(len(chol), n_nodes))
+    for rows, z, log_w in _tensor_batches(len(chol), n_nodes):
+        terms[rows] = log_w + log_integrand(z @ chol.T)
+    return float(np.exp(logsumexp(terms)))
 
 
 def gauss_hermite_mean(cov: np.ndarray, integrand, n_nodes: int = 40) -> float:
-    """E[integrand(g)] for g ~ N(0, cov); for integrands of either sign."""
+    """E[integrand(g)] for g ~ N(0, cov); for integrands of either sign.
+
+    ``integrand`` is called once per batch of at most ``MC_CHUNK`` nodes.
+    """
     chol = _chol(cov)
-    z, log_w = _tensor_grid(len(chol), n_nodes)
-    return float(np.exp(log_w) @ integrand(z @ chol.T))
+    size = _grid_size(len(chol), n_nodes)
+    weights, values = np.empty(size), np.empty(size)
+    for rows, z, log_w in _tensor_batches(len(chol), n_nodes):
+        weights[rows] = np.exp(log_w)
+        values[rows] = integrand(z @ chol.T)
+    return float(weights @ values)
 
 
 def _mc_mean(cov: np.ndarray, fn, n_draws: int, rng: np.random.Generator) -> tuple[float, float]:

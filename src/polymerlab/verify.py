@@ -22,7 +22,8 @@ from .environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
 from .gibbs import GibbsParams, quenched_average, replica_hamiltonian
 from .kernels import KernelSpec, gamma_matrix
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
-from .quadrature import gauss_hermite_expect, gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean
+from .quadrature import (MC_CHUNK, _batches, gauss_hermite_expect, gauss_hermite_mean,
+                         monte_carlo_expect, monte_carlo_mean)
 from .walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_path
 
 _DOMAIN_ORACLE = 3
@@ -406,6 +407,31 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
 # -- martingale increment probe -----------------------------------------------
 
 
+def _draw_slices(template: EnvironmentHandle, idx: np.ndarray, seed: int, domain: int,
+                 count: int, slices: list[int]) -> np.ndarray:
+    """Fresh draws of the given slices gathered onto fixed paths: (count, len(slices), M).
+
+    Draw r takes its normals from ``tagged_stream(seed, domain, r)``, real
+    parts first; ``idx[k - 1]`` holds the paths' grid nodes on slice k.
+    Draws are synthesized in batches of about ``MC_CHUNK`` complex normals.
+    """
+    shape = (len(slices), template.n_circ)
+    batches = _batches(count, max(1, MC_CHUNK // (shape[0] * shape[1])))
+    size = max(draws.stop - draws.start for draws in batches)
+    out = np.empty((count, len(slices), idx.shape[1]))
+    re, im = np.empty((size, *shape)), np.empty((size, *shape))
+    for draws in batches:
+        k = draws.stop - draws.start
+        for b in range(k):
+            rng = tagged_stream(seed, domain, draws.start + b)
+            rng.standard_normal(out=re[b])
+            rng.standard_normal(out=im[b])
+        fields = template.synthesize(re[:k] + 1j * im[:k])
+        for a, kk in enumerate(slices):
+            out[draws, a] = fields[:, a, idx[kk - 1]]
+    return out
+
+
 @dataclass(frozen=True)
 class IncrementProbeResult:
     report: BoundCheckReport
@@ -431,6 +457,13 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
     are shared across outer draws (the conditional means become one matrix
     product per side), and the remaining nested bias is removed by linear
     extrapolation from n_inner to 2*n_inner.
+
+    Draws are synthesized and gathered in batches of about ``MC_CHUNK``
+    complex normals, and that matrix product is taken and log-reduced a block of
+    about ``MC_CHUNK`` entries at a time, so the (n_outer, 2*n_inner)
+    matrix is never held whole.  Memory still scales with the gathered
+    draws, (count, slices, M) per call, and with the (M, 2*n_inner)
+    inner weights.
     """
     if not (1 <= j <= n and 1 <= i <= n):
         raise ValueError("need 1 <= i, j <= n")
@@ -442,7 +475,6 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
     beta = params.beta
     L_eff = L if L is not None else suggested_halfwidth(n)
     template = EnvironmentHandle(seed, kernel, d=1, backend="grid", h=h, L=L_eff)
-    n_circ = template.n_circ
 
     paths = sample_paths(seed, params.M, n, 1)
     idx = np.stack([template.snap(paths.positions[:, kk, :]) for kk in range(n)])  # (n, M)
@@ -452,25 +484,14 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
         raise ValueError("probe functional has zero sampled mass; enlarge f_radius")
     f_vals = f_vals.astype(float)
 
-    def draw_slices(domain: int, count: int, slices: list[int]) -> np.ndarray:
-        # per-(seed, domain, draw) streams; returns (count, len(slices), M)
-        # Hamiltonian contributions already gathered onto the fixed paths
-        out = np.zeros((count, len(slices), params.M))
-        for r in range(count):
-            rng = tagged_stream(seed, domain, r)
-            z = rng.standard_normal((len(slices), n_circ)) + 1j * rng.standard_normal((len(slices), n_circ))
-            fields = template.synthesize(z)
-            for a, kk in enumerate(slices):
-                out[r, a] = fields[a, idx[kk - 1]]
-        return out
-
     ham_slices = list(range(1, horizon + 1))
     fixed_hi = [kk for kk in ham_slices if kk <= i]          # side E_i
     fixed_lo = [kk for kk in ham_slices if kk <= i - 1]      # side E_{i-1}
     fresh_hi = [kk for kk in ham_slices if kk > i]
     fresh_lo = [kk for kk in ham_slices if kk >= i]
 
-    outer = draw_slices(_DOMAIN_PROBE_OUTER, n_outer, list(range(1, i + 1)))  # (O, i, M)
+    outer = _draw_slices(template, idx, seed, _DOMAIN_PROBE_OUTER, n_outer,
+                         list(range(1, i + 1)))                       # (O, i, M)
     base_lo = outer[:, :len(fixed_lo), :].sum(axis=1)
     base_hi = base_lo + (outer[:, i - 1, :] if i in fixed_hi else 0.0)
 
@@ -479,10 +500,14 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
         if not fresh:
             vals = np.log(u.sum(axis=1)) - math.log(params.M)
             return vals, vals
-        fresh_g = draw_slices(domain, 2 * n_inner, fresh).sum(axis=1)   # (2R, M)
+        fresh_g = _draw_slices(template, idx, seed, domain, 2 * n_inner, fresh).sum(axis=1)  # (2R, M)
         v = np.exp(beta * fresh_g).T                         # (M, 2R)
-        log_w = np.log(u @ v) - math.log(params.M)           # (O, 2R)
-        return log_w[:, :n_inner].mean(axis=1), log_w.mean(axis=1)
+        half, full = np.empty(len(u)), np.empty(len(u))
+        for rows in _batches(len(u), max(1, MC_CHUNK // (2 * n_inner))):
+            log_w = np.log(u[rows] @ v) - math.log(params.M)    # (rows, 2R)
+            half[rows] = log_w[:, :n_inner].mean(axis=1)
+            full[rows] = log_w.mean(axis=1)
+        return half, full
 
     e_hi_half, e_hi_full = side(base_hi, fresh_hi, _DOMAIN_PROBE_INNER_HI)
     e_lo_half, e_lo_full = side(base_lo, fresh_lo, _DOMAIN_PROBE_INNER_LO)

@@ -194,3 +194,13 @@ def test_exact_backend_ball_d2_is_byte_identical_across_threads(tmp_path):
     assert main(["verify", "ball", "--config", cfg, "--out", str(out2), "--threads", "2"]) == code
     for name in ("verify_ball.csv", "verify_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", [["env-check"], ["verify", "girsanov"], ["xi-scan"], ["fluct-fit"]])
+def test_manifest_records_peak_rss(tmp_path, command):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, M=50, R=4, n_grid=[4, 9, 16, 25])
+    assert main([*command, "--config", cfg, "--out", str(out)]) in (0, 1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["peak_rss_mib"] > 0
+    assert "peak_rss_mib" not in manifest["summary"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polymerlab.environment import (CovarianceConditioningError, EnvironmentHandle, GridDomainError,
-                                    SpectralClippingError, covariance_selftest)
+                                    SpectralClippingError, covariance_selftest, tagged_stream)
 from polymerlab.kernels import KernelSpec
 
 UNIT = KernelSpec()  # normalized exponential, lam=1
@@ -162,3 +162,20 @@ def test_slice_index_validation():
     env = EnvironmentHandle(0, UNIT, backend="exact")
     with pytest.raises(ValueError):
         env.sample_slice_at(0, [0.0])
+
+
+def test_tagged_stream_rejects_tags_outside_their_key_fields():
+    # domain takes the top 16 bits of the second key word, index the low 48
+    with pytest.raises(ValueError, match="stream tag"):
+        tagged_stream(1, 1, 2**48 + 5)      # would alias tagged_stream(1, 1, 5)
+    for domain, index in ((2**16, 0), (-1, 0), (0, -1), (0, 2**48)):
+        with pytest.raises(ValueError, match="stream tag"):
+            tagged_stream(7, domain, index)
+
+
+@pytest.mark.parametrize("seed, domain, index", [(0, 0, 0), (1, 1, 5), (2**64 - 1, 2**16 - 1, 2**48 - 1),
+                                                 (20240817, 6, 3999)])
+def test_tagged_stream_bytes_for_valid_tags(seed, domain, index):
+    key = np.array([seed, (domain << 48) | index], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
+    assert tagged_stream(seed, domain, index).standard_normal(8).tobytes() == expected.tobytes()

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from polymerlab import quadrature
 from polymerlab.environment import CovarianceConditioningError, tagged_stream
 from polymerlab.kernels import KernelSpec, gamma_matrix
-from polymerlab.quadrature import (gauss_hermite_expect, gauss_hermite_mean, monte_carlo_expect,
-                                   monte_carlo_mean)
+from polymerlab.quadrature import (MC_CHUNK, _chol, gauss_hermite_expect, gauss_hermite_mean,
+                                   monte_carlo_expect, monte_carlo_mean)
+from polymerlab.verify import check_expo_ineq, check_log_moment_bounds, random_expo_cases
 
 
 def test_exponential_moment_closed_form():
@@ -62,3 +66,80 @@ def test_grid_size_guard_and_conditioning_error():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])    # not positive definite
     with pytest.raises(CovarianceConditioningError):
         gauss_hermite_expect(bad, lambda g: g[:, 0])
+
+
+# -- batched tensor grid against the one-shot grid -----------------------------------
+
+
+def _one_shot_grid(m, n_nodes):
+    """The whole tensor grid at once: nodes (n^m, m) and log weights (n^m,)."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    log_w1 = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
+    idx = np.indices((n_nodes,) * m).reshape(m, -1)
+    return nodes[idx].T.copy(), log_w1[idx].sum(axis=0)
+
+
+def _one_shot_expect(cov, log_integrand, n_nodes):
+    chol = _chol(cov)
+    z, log_w = _one_shot_grid(len(chol), n_nodes)
+    return float(np.exp(logsumexp(log_w + log_integrand(z @ chol.T))))
+
+
+def _one_shot_mean(cov, integrand, n_nodes):
+    chol = _chol(cov)
+    z, log_w = _one_shot_grid(len(chol), n_nodes)
+    return float(np.exp(log_w) @ integrand(z @ chol.T))
+
+
+def _lemma_integrands(m):
+    """A matmul integrand and lemma21/lemma22-style log-sum-exp integrands on m atoms."""
+    rng = tagged_stream(5, 9, m)
+    a = rng.uniform(-1.0, 1.0, m)
+    log_mu = np.log(rng.dirichlet(np.ones(m)))
+    atom_idx = np.arange(m)
+    beta, q = 0.6, 1.3
+
+    def lemma21(g):
+        return beta * (g @ a) - q * logsumexp(log_mu + beta * g[:, atom_idx], axis=1)
+
+    def lemma22(g):
+        return logsumexp(log_mu + beta * g[:, atom_idx] - 0.5 * beta**2, axis=1)
+
+    return [lambda g: g @ a, lemma21, lemma22]
+
+
+# (m, n_nodes, chunk): grids smaller than, equal to, a multiple of and not a
+# multiple of the batch; chunk None keeps MC_CHUNK.
+_BATCH_CASES = [(1, 40, None), (2, 40, None), (3, 40, None), (4, 22, None),
+                (1, 64, 64), (2, 8, 64), (3, 4, 64), (4, 3, 81),
+                (4, 4, 64), (2, 9, 10), (3, 7, 50), (4, 5, 7), (1, 30, 1)]
+
+
+@pytest.mark.parametrize("m, n_nodes, chunk", _BATCH_CASES)
+def test_batched_quadrature_bytes_match_one_shot_grid(monkeypatch, m, n_nodes, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(quadrature, "MC_CHUNK", chunk)
+    assert (n_nodes**m > MC_CHUNK) == (m == 4 and chunk is None)   # 22^4 spans two real batches
+    cov = gamma_matrix(KernelSpec(kind="exponential-petermann", lam=1.3),
+                       np.linspace(-1.0, 1.5, m)[:, None])
+    for fn in _lemma_integrands(m):
+        got = gauss_hermite_expect(cov, fn, n_nodes=n_nodes)
+        assert np.float64(got).tobytes() == np.float64(_one_shot_expect(cov, fn, n_nodes)).tobytes()
+        got = gauss_hermite_mean(cov, fn, n_nodes=n_nodes)
+        assert np.float64(got).tobytes() == np.float64(_one_shot_mean(cov, fn, n_nodes)).tobytes()
+
+
+def test_four_atom_oracles_stay_below_256_mib():
+    """The 40^4-node grid is evaluated in batches; the one-shot grid peaked at 754 MiB."""
+    case = next(c for c in random_expo_cases(20240817) if len(c.mu_atoms) == 4)
+    peaks = []
+    for check in (lambda: check_expo_ineq(case),
+                  lambda: check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta,
+                                                  case.kernel)):
+        tracemalloc.start()
+        try:
+            assert check().passed
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 256, peaks

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from polymerlab.environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
 from polymerlab.gibbs import GibbsParams, ReplicaError
 from polymerlab.kernels import KernelSpec
-from polymerlab.verify import (BoundConstants, ExpoIneqCase, _tilted_log_mass, ball_bound_test,
-                               check_expo_ineq, check_log_moment_bounds, concentration_bound,
-                               concentration_scan, girsanov_identity_test, make_report,
-                               martingale_increment_probe, mean_control_test, random_expo_cases)
-from polymerlab.walk import TiltSpec
+from polymerlab.verify import (BoundConstants, ExpoIneqCase, IncrementProbeResult, _draw_slices,
+                               _tilted_log_mass, ball_bound_test, check_expo_ineq,
+                               check_log_moment_bounds, concentration_bound, concentration_scan,
+                               girsanov_identity_test, make_report, martingale_increment_probe,
+                               mean_control_test, random_expo_cases)
+from polymerlab.walk import TiltSpec, sample_paths
 
 UNIT = KernelSpec()
 
@@ -306,6 +308,74 @@ def test_probe_validation():
         martingale_increment_probe(4, 5, 2, params, seed=0)
     with pytest.raises(ValueError):
         martingale_increment_probe(4, 4, 2, params, seed=0, f_radius=1e-9)
+
+
+def _draw_slices_one_at_a_time(template, idx, seed, domain, count, slices):
+    """Reference for the batched draws: one synthesis and gather per draw."""
+    out = np.zeros((count, len(slices), idx.shape[1]))
+    for r in range(count):
+        rng = tagged_stream(seed, domain, r)
+        shape = (len(slices), template.n_circ)
+        fields = template.synthesize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for a, kk in enumerate(slices):
+            out[r, a] = fields[a, idx[kk - 1]]
+    return out
+
+
+def _reference_probe(n, j, i, params, seed, n_outer, n_inner):
+    """The increment probe with per-draw synthesis and one whole (O, 2R) product per side."""
+    template = EnvironmentHandle(seed, UNIT, d=1, backend="grid", L=suggested_halfwidth(n))
+    paths = sample_paths(seed, params.M, n, 1)
+    idx = np.stack([template.snap(paths.positions[:, kk, :]) for kk in range(n)])
+    f_vals = (np.abs(paths.positions[:, j - 1, 0]) <= 2.0 * math.sqrt(j)).astype(float)
+    outer = _draw_slices_one_at_a_time(template, idx, seed, 4, n_outer, list(range(1, i + 1)))
+    base_lo = outer[:, :i - 1, :].sum(axis=1)
+    base_hi = base_lo + outer[:, i - 1, :]
+
+    def side(base, fresh, domain):
+        u = f_vals[None, :] * np.exp(params.beta * base)
+        if not fresh:
+            vals = np.log(u.sum(axis=1)) - math.log(params.M)
+            return vals, vals
+        fresh_g = _draw_slices_one_at_a_time(template, idx, seed, domain, 2 * n_inner,
+                                             fresh).sum(axis=1)
+        log_w = np.log(u @ np.exp(params.beta * fresh_g).T) - math.log(params.M)
+        return log_w[:, :n_inner].mean(axis=1), log_w.mean(axis=1)
+
+    hi_half, hi_full = side(base_hi, list(range(i + 1, n + 1)), 5)
+    lo_half, lo_full = side(base_lo, list(range(i, n + 1)), 6)
+    inc_half = np.exp(np.abs(hi_half - lo_half))
+    inc_full = np.exp(np.abs(hi_full - lo_full))
+    extrapolated = 2.0 * inc_full - inc_half
+    report = make_report(f"increment_probe(n={n},j={j},i={i},beta={params.beta:g})",
+                         float(extrapolated.mean()),
+                         float(extrapolated.std(ddof=1) / math.sqrt(n_outer)),
+                         upper=BoundConstants(params.beta, UNIT.sigma2(1)).K,
+                         notes=f"inner={n_inner},outer={n_outer},M={params.M}")
+    return IncrementProbeResult(report=report, estimate_inner=float(inc_half.mean()),
+                                estimate_doubled=float(inc_full.mean()))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7001])
+def test_batched_increment_draws_match_one_draw_at_a_time(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr("polymerlab.verify.MC_CHUNK", chunk)
+    template = EnvironmentHandle(11, UNIT, d=1, backend="grid", L=suggested_halfwidth(3))
+    idx = np.stack([template.snap(np.linspace(-4.0, 4.0, 37)[:, None] * s) for s in (0.5, 1.0, 1.5)])
+    for slices in ([1], [2, 3], [1, 2, 3]):
+        got = _draw_slices(template, idx, 11, 5, 301, slices)
+        assert got.tobytes() == _draw_slices_one_at_a_time(template, idx, 11, 5, 301, slices).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 7001])
+def test_batched_increment_probe_matches_reference(monkeypatch, chunk):
+    # 300 draws are not a multiple of any batch size used here
+    if chunk is not None:
+        monkeypatch.setattr("polymerlab.verify.MC_CHUNK", chunk)
+    params = GibbsParams(beta=0.5, n=3, M=200, R=2)
+    for i in (1, 2, 3):
+        got = martingale_increment_probe(3, 3, i, params, seed=9, n_outer=300, n_inner=300)
+        assert got == _reference_probe(3, 3, i, params, seed=9, n_outer=300, n_inner=300)
 
 
 def test_random_expo_cases_shape_and_determinism():
