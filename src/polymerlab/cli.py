@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDomainError,
-                          SpectralClippingError, covariance_selftest)
+                          SpectralClippingError, covariance_selftest, grid_spacing)
 from .exponent import fluctuation_fit, xi_scan
 from .gibbs import ESTIMATE_CSV_HEADER, GibbsParams, ReplicaError, estimate_csv_row
 from .verify import (BoundCheckReport, ball_bound_test, check_expo_ineq, check_log_moment_bounds,
@@ -91,12 +91,6 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _report_rows(reports: list[BoundCheckReport]):
-    for rep in reports:
-        yield (rep.name, rep.estimate, rep.stderr, rep.lower_bound, rep.upper_bound,
-               rep.margin_sigmas, rep.passed)
-
-
 def _summarize(reports: list[BoundCheckReport]) -> dict:
     margins = [r.margin_sigmas for r in reports if math.isfinite(r.margin_sigmas)]
     notes = [f"{r.name}: {r.notes}" for r in reports if r.notes]
@@ -112,34 +106,31 @@ def _summarize(reports: list[BoundCheckReport]) -> dict:
 # -- suites -------------------------------------------------------------------
 
 
-def _suite_lemma21(cfg: RunConfig) -> list[BoundCheckReport]:
+def _moment_suite(cfg: RunConfig, label: str, check, n_draws: int) -> list[BoundCheckReport]:
+    """Per random case: ``check`` by quadrature, by MC, then MC against quadrature."""
     reports = []
     for idx, case in enumerate(random_expo_cases(cfg.seed, count=10)):
-        quad = check_expo_ineq(case, method="quadrature")
-        mc = check_expo_ineq(case, method="mc", n_draws=200_000, seed=cfg.seed + idx)
-        agree = make_report(f"expo_ineq_mc_vs_quadrature(case={idx})", mc.estimate, mc.stderr,
+        quad = check(case, method="quadrature")
+        mc = check(case, method="mc", n_draws=n_draws, seed=cfg.seed + idx)
+        agree = make_report(f"{label}_mc_vs_quadrature(case={idx})", mc.estimate, mc.stderr,
                             lower=quad.estimate, upper=quad.estimate)
         reports += [quad, mc, agree]
     return reports
+
+
+def _suite_lemma21(cfg: RunConfig) -> list[BoundCheckReport]:
+    return _moment_suite(cfg, "expo_ineq", check_expo_ineq, 200_000)
 
 
 def _suite_lemma22(cfg: RunConfig) -> list[BoundCheckReport]:
-    reports = []
-    for idx, case in enumerate(random_expo_cases(cfg.seed, count=10)):
-        quad = check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta, case.kernel,
-                                       method="quadrature")
-        mc = check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta, case.kernel,
-                                     method="mc", n_draws=100_000, seed=cfg.seed + idx)
-        agree = make_report(f"log_moment_mc_vs_quadrature(case={idx})", mc.estimate, mc.stderr,
-                            lower=quad.estimate, upper=quad.estimate)
-        reports += [quad, mc, agree]
-    return reports
+    return _moment_suite(cfg, "log_moment", lambda case, **kw: check_log_moment_bounds(
+        case.mu_atoms, case.mu_weights, case.beta, case.kernel, **kw), 100_000)
 
 
 def _suite_girsanov(cfg: RunConfig) -> list[BoundCheckReport]:
     n = max(cfg.n_grid)
     params = GibbsParams(beta=cfg.beta, n=n, M=cfg.M, R=cfg.R)
-    spacing = cfg.h if cfg.h is not None else 0.1 / cfg.kernel.lam
+    spacing = grid_spacing(cfg.kernel, cfg.h)
     reports = []
     for lam in (spacing, 2.0 * spacing):    # lattice multiples keep the identity exact
         reports.append(girsanov_identity_test(params, lam, cfg.env_seeds(),
@@ -217,126 +208,116 @@ _SUITE_RUNNERS = {
 # -- commands -----------------------------------------------------------------
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Frame:
+    """One command's output dir, outputs, stage timings, summary and manifest.
 
+    Entering it makes the output dir and records warnings (worker threads' too) instead
+    of printing them; a clean exit writes ``manifest.json``, counting them by class.
+    """
 
-@contextmanager
-def _recorded_warnings():
-    """Record the block's warnings, worker threads' included, instead of printing them."""
-    with warnings.catch_warnings(record=True) as caught:
+    def __init__(self, cfg: RunConfig, command: str):
+        self.cfg, self.command, self.out = cfg, command, Path(cfg.output_dir)
+        self.outputs, self.timings, self.summary = [], {}, {}
+        self._recorder = warnings.catch_warnings(record=True)
+
+    def __enter__(self) -> _Frame:
+        self.out.mkdir(parents=True, exist_ok=True)
+        self._caught = self._recorder.__enter__()
         warnings.simplefilter("always")     # keeps repeats, so counts match at any thread count
-        yield caught
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        self._recorder.__exit__(exc_type, *exc)
+        if exc_type is None:
+            _write_json(self.out / "manifest.json", {
+                "artifact_version": __version__,
+                "command": self.command,
+                "config": self.cfg.raw,
+                "outputs": self.outputs,
+                "timings_seconds": self.timings,
+                "summary": self.summary,
+                "warnings": dict(Counter(w.category.__name__ for w in self._caught)),
+                "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
+            })
+
+    @contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
+
+    def write(self, filename: str, *content) -> None:
+        """Write one output, CSV or JSON by its suffix, and list it in the manifest."""
+        (_write_csv if filename.endswith(".csv") else _write_json)(self.out / filename, *content)
+        self.outputs.append(filename)
 
 
-def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str], timings: dict,
-                    summary: dict, caught: list) -> None:
-    _write_json(out / "manifest.json", {
-        "artifact_version": __version__,
-        "command": command,
-        "config": cfg.raw,
-        "outputs": outputs,
-        "timings_seconds": timings,
-        "summary": summary,
-        "warnings": dict(Counter(w.category.__name__ for w in caught)),
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
-    })
-
-
-def cmd_env_check(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    spacing = cfg.h if cfg.h is not None else 0.1 / cfg.kernel.lam
+def cmd_env_check(cfg: RunConfig, frame: _Frame) -> int:
+    spacing = grid_spacing(cfg.kernel, cfg.h)
     xs = [0.0, 5 * spacing, 10 * spacing] if cfg.backend_kind == "grid" else [0.0, 0.5, 1.0]
     points = [(1, np.full(cfg.d, x)) for x in xs] + [(2, np.zeros(cfg.d))]
     L = cfg.L if cfg.L is not None else float(math.ceil(max(xs) + 1))
     env = EnvironmentHandle(cfg.seed, cfg.kernel, d=cfg.d, backend=cfg.backend_kind,
                             h=cfg.h, L=L if cfg.backend_kind == "grid" else None)
-    t0 = time.perf_counter()
-    with _recorded_warnings() as caught:
+    with frame.stage("env-check"):
         rows = covariance_selftest(env, points, n_seeds=max(1000, cfg.R))
-    elapsed = time.perf_counter() - t0
 
     def tag(position) -> str:
         k, *coords = position
         return f"k={k};x=" + ";".join(repr(float(c)) for c in coords)
 
-    _write_csv(out / "env_check.csv",
-               ("position_a", "position_b", "target_cov", "empirical_cov", "z"),
-               [(tag(r.position_a), tag(r.position_b), r.target_cov, r.empirical_cov, r.z)
-                for r in rows])
+    frame.write("env_check.csv", ("position_a", "position_b", "target_cov", "empirical_cov", "z"),
+                [(tag(r.position_a), tag(r.position_b), r.target_cov, r.empirical_cov, r.z)
+                 for r in rows])
     worst = max(abs(r.z) for r in rows)
-    summary = {"pairs": len(rows), "worst_abs_z": worst, "passed": worst < 4.0}
-    _write_manifest(out, cfg, "env-check", ["env_check.csv"], {"env-check": elapsed}, summary, caught)
+    frame.summary.update(pairs=len(rows), worst_abs_z=worst, passed=worst < 4.0)
     return 0 if worst < 4.0 else 1
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    out = _out_dir(cfg)
-    names = list(VERIFY_SUITES) if suite == "all" else [suite]
-    outputs = []
-    timings = {}
-    summary = {}
-    all_passed = True
-    with _recorded_warnings() as caught:
-        for name in names:
-            t0 = time.perf_counter()
+def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
+    for name in VERIFY_SUITES if suite == "all" else [suite]:
+        with frame.stage(name):
             reports = _SUITE_RUNNERS[name](cfg)
-            timings[name] = time.perf_counter() - t0
-            filename = f"verify_{name}.csv"
-            _write_csv(out / filename, REPORT_CSV_HEADER, _report_rows(reports))
-            outputs.append(filename)
-            summary[name] = _summarize(reports)
-            all_passed = all_passed and all(r.passed for r in reports)
-    summary["all_passed"] = all_passed
-    _write_json(out / "verify_summary.json", summary)
-    outputs.append("verify_summary.json")
-    _write_manifest(out, cfg, f"verify {suite}", outputs, timings, summary, caught)
-    return 0 if all_passed else 1
+        frame.write(f"verify_{name}.csv", REPORT_CSV_HEADER,
+                    [(r.name, r.estimate, r.stderr, r.lower_bound, r.upper_bound, r.margin_sigmas,
+                      r.passed) for r in reports])
+        frame.summary[name] = _summarize(reports)
+    frame.summary["all_passed"] = all(s["failed"] == 0 for s in frame.summary.values())
+    frame.write("verify_summary.json", frame.summary)
+    return 0 if frame.summary["all_passed"] else 1
 
 
-def cmd_xi_scan(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_xi_scan(cfg: RunConfig, frame: _Frame) -> int:
     params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
-    t0 = time.perf_counter()
     rows = []
-    with _recorded_warnings() as caught:
+    with frame.stage("xi-scan"):
         for event in ("endpoint", "running_max"):
             rows += xi_scan(cfg.alphas, cfg.n_grid, params, cfg.env_seeds(), event=event,
                             kernel=cfg.kernel, d=cfg.d, backend=cfg.backend_kind,
                             h=cfg.h, L=cfg.L, threads=cfg.threads)
-    elapsed = time.perf_counter() - t0
-    _write_csv(out / "xi_scan.csv",
-               ("n", "alpha", "event", "mass_mean", "mass_stderr", "R", "M", "seed"),
-               [(r.n, r.alpha, r.event, r.mass_mean, r.mass_stderr, r.R, r.M, cfg.seed)
-                for r in rows])
-    _write_manifest(out, cfg, "xi-scan", ["xi_scan.csv"], {"xi-scan": elapsed},
-                    {"rows": len(rows)}, caught)
+    frame.write("xi_scan.csv", ("n", "alpha", "event", "mass_mean", "mass_stderr", "R", "M", "seed"),
+                [(r.n, r.alpha, r.event, r.mass_mean, r.mass_stderr, r.R, r.M, cfg.seed)
+                 for r in rows])
+    frame.summary["rows"] = len(rows)
     return 0
 
 
-def cmd_fluct_fit(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_fluct_fit(cfg: RunConfig, frame: _Frame) -> int:
     params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
-    t0 = time.perf_counter()
-    with _recorded_warnings() as caught:
+    with frame.stage("fluct-fit"):
         fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(), kernel=cfg.kernel,
                               backend=cfg.backend_kind, h=cfg.h, L=cfg.L, threads=cfg.threads)
-    elapsed = time.perf_counter() - t0
-    fit_doc = {
+    frame.write("fluct_fit.json", {
         "xi_hat": fit.xi_hat, "ci_low": fit.ci_low, "ci_high": fit.ci_high,
         "n_grid": list(fit.n_grid), "beta": fit.beta, "lambda": fit.lam, "d": fit.d,
         "reference_band": list(fit.reference_band) if fit.reference_band else None,
         "spreads_median": list(fit.spreads_median), "spreads_mean": list(fit.spreads_mean),
-    }
-    _write_json(out / "fluct_fit.json", fit_doc)
+    })
     spread_rows = [estimate_csv_row("runmax_spread_median", n, cfg.beta, None, med, 0.0,
                                     float("nan"), cfg.M, cfg.R, cfg.seed)
                    for n, med in zip(fit.n_grid, fit.spreads_median)]
-    _write_csv(out / "fluct_fit_spreads.csv", ESTIMATE_CSV_HEADER, spread_rows)
-    _write_manifest(out, cfg, "fluct-fit", ["fluct_fit.json", "fluct_fit_spreads.csv"],
-                    {"fluct-fit": elapsed}, {"xi_hat": fit.xi_hat}, caught)
+    frame.write("fluct_fit_spreads.csv", ESTIMATE_CSV_HEADER, spread_rows)
+    frame.summary["xi_hat"] = fit.xi_hat
     return 0
 
 
@@ -377,13 +358,11 @@ def main(argv=None) -> int:
             return 2
     try:
         cfg = load_config(args.config, seed=args.seed, threads=threads, output_dir=args.out)
-        if args.command == "env-check":
-            return cmd_env_check(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        if args.command == "xi-scan":
-            return cmd_xi_scan(cfg)
-        return cmd_fluct_fit(cfg)
+        run = {"env-check": cmd_env_check, "verify": cmd_verify, "xi-scan": cmd_xi_scan,
+               "fluct-fit": cmd_fluct_fit}[args.command]
+        operands = [args.suite] if args.command == "verify" else []
+        with _Frame(cfg, " ".join([args.command, *operands])) as frame:
+            return run(cfg, frame, *operands)
     # before the ValueError clause: GridDomainError is a ValueError
     except (CovarianceConditioningError, SpectralClippingError, GridDomainError,
             ReplicaError) as exc:

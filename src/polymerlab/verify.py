@@ -117,10 +117,8 @@ class ExpoIneqCase:
     mu_weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.atleast_1d(np.asarray(self.nodes, dtype=float)))
-        object.__setattr__(self, "lambdas", np.atleast_1d(np.asarray(self.lambdas, dtype=float)))
-        object.__setattr__(self, "mu_atoms", np.atleast_1d(np.asarray(self.mu_atoms, dtype=float)))
-        object.__setattr__(self, "mu_weights", np.atleast_1d(np.asarray(self.mu_weights, dtype=float)))
+        for name in ("nodes", "lambdas", "mu_atoms", "mu_weights"):
+            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         if self.q <= 0 or self.beta <= 0:
             raise ValueError("q and beta must be positive")
         if self.nodes.shape != self.lambdas.shape:
@@ -148,6 +146,18 @@ def _case_geometry(case: ExpoIneqCase):
     return cov, coef, atom_idx, np.log(weights)
 
 
+def _oracle(method: str, cov: np.ndarray, fn, n_nodes: int, n_draws: int, seed: int, *,
+            exponential: bool) -> tuple[float, float]:
+    """(estimate, stderr) of E[exp(fn(g))] if ``exponential``, else of E[fn(g)], g ~ N(0, cov)."""
+    if method == "quadrature":
+        estimate = (gauss_hermite_expect if exponential else gauss_hermite_mean)(cov, fn, n_nodes=n_nodes)
+        return estimate, _QUAD_RTOL * max(abs(estimate), 1.0)
+    if method == "mc":
+        rng = tagged_stream(seed, _DOMAIN_ORACLE, 0 if exponential else 1)
+        return (monte_carlo_expect if exponential else monte_carlo_mean)(cov, fn, n_draws, rng)
+    raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'")
+
+
 def check_expo_ineq(case: ExpoIneqCase, method: str = "quadrature",
                     n_nodes: int = 40, n_draws: int = 1_000_000,
                     seed: int = 0) -> BoundCheckReport:
@@ -157,14 +167,7 @@ def check_expo_ineq(case: ExpoIneqCase, method: str = "quadrature",
     def log_integrand(g):
         return case.beta * (g @ coef) - case.q * logsumexp(log_mu + case.beta * g[:, atom_idx], axis=1)
 
-    if method == "quadrature":
-        estimate = gauss_hermite_expect(cov, log_integrand, n_nodes=n_nodes)
-        stderr = _QUAD_RTOL * max(abs(estimate), 1.0)
-    elif method == "mc":
-        estimate, stderr = monte_carlo_expect(cov, log_integrand, n_draws,
-                                              tagged_stream(seed, _DOMAIN_ORACLE, 0))
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'")
+    estimate, stderr = _oracle(method, cov, log_integrand, n_nodes, n_draws, seed, exponential=True)
     half = 0.5 * case.beta**2 * case.sigma2
     lower = math.exp(-half * case.q)
     upper = math.exp(half * (case.q + np.abs(case.lambdas).sum()) ** 2)
@@ -209,14 +212,7 @@ def check_log_moment_bounds(mu_atoms, mu_weights, beta: float, kernel: KernelSpe
     def integrand(g):
         return logsumexp(log_mu + beta * g[:, atom_idx] - shift, axis=1)
 
-    if method == "quadrature":
-        estimate = gauss_hermite_mean(cov, integrand, n_nodes=n_nodes)
-        stderr = _QUAD_RTOL * max(abs(estimate), 1.0)
-    elif method == "mc":
-        estimate, stderr = monte_carlo_mean(cov, integrand, n_draws,
-                                            tagged_stream(seed, _DOMAIN_ORACLE, 1))
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'")
+    estimate, stderr = _oracle(method, cov, integrand, n_nodes, n_draws, seed, exponential=False)
     w = case.mu_weights[case.mu_weights > 0]
     atoms = case.mu_atoms[case.mu_weights > 0]
     overlap = float(w @ gamma_matrix(kernel, atoms[:, None]) @ w)

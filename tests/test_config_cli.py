@@ -1,11 +1,14 @@
+import csv
 import json
 import warnings
 from pathlib import Path
 
 import pytest
 
+from polymerlab import cli
 from polymerlab.cli import main
 from polymerlab.config import ConfigError, DEFAULT_CONFIG, load_config
+from polymerlab.verify import make_report
 
 
 def write_config(tmp_path: Path, **overrides) -> str:
@@ -204,3 +207,30 @@ def test_manifest_records_peak_rss(tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["peak_rss_mib"] > 0
     assert "peak_rss_mib" not in manifest["summary"]
+
+
+def test_verify_failed_check_exits_one_with_manifest(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "girsanov",
+                        lambda cfg: [make_report("forced_failure", 1.0, 0.1, upper=0.0)])
+    out = tmp_path / "fail"
+    assert main(["verify", "girsanov", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    summary = json.loads((out / "verify_summary.json").read_text())
+    assert summary["all_passed"] is False and summary["girsanov"]["failed"] == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "verify girsanov"
+    assert manifest["outputs"] == ["verify_girsanov.csv", "verify_summary.json"]
+    assert manifest["summary"] == summary
+
+
+@pytest.mark.parametrize("suite, label", [("lemma21", "expo_ineq"), ("lemma22", "log_moment")])
+def test_moment_suites_write_quadrature_mc_agreement_per_case(tmp_path, suite, label):
+    out = tmp_path / suite
+    assert main(["verify", suite, "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    with open(out / f"verify_{suite}.csv", newline="") as fh:
+        names = [row[0] for row in csv.reader(fh)][1:]
+    assert len(names) == 30
+    for idx in range(10):
+        quad, mc, agree = names[3 * idx:3 * idx + 3]
+        assert quad.startswith(f"{label}(") and quad.endswith(",method=quadrature)")
+        assert mc.startswith(f"{label}(") and mc.endswith(",method=mc)")
+        assert agree == f"{label}_mc_vs_quadrature(case={idx})"

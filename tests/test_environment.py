@@ -179,3 +179,16 @@ def test_tagged_stream_bytes_for_valid_tags(seed, domain, index):
     key = np.array([seed, (domain << 48) | index], dtype=np.uint64)
     expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
     assert tagged_stream(seed, domain, index).standard_normal(8).tobytes() == expected.tobytes()
+
+
+def test_signed_zero_is_one_exact_point():
+    one_call = EnvironmentHandle(11, UNIT, backend="exact")
+    both = one_call.sample_slice_at(1, [0.0, -0.0])
+    assert both[0] == both[1]
+    assert len(one_call._slices[1].points) == 1
+
+    two_calls = EnvironmentHandle(11, UNIT, backend="exact")
+    first = two_calls.sample_slice_at(1, [0.0])
+    second = two_calls.sample_slice_at(1, [-0.0])
+    assert first[0] == second[0] == both[0]
+    assert len(two_calls._slices[1].points) == 1

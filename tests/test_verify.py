@@ -386,3 +386,10 @@ def test_random_expo_cases_shape_and_determinism():
         assert case.mu_weights.sum() == pytest.approx(1.0)
     again = random_expo_cases(42, count=10)
     assert all(np.array_equal(a.mu_atoms, b.mu_atoms) for a, b in zip(cases, again))
+
+
+def test_log_moment_unknown_method_raises():
+    case = random_expo_cases(1, count=1)[0]
+    with pytest.raises(ValueError, match="unknown method"):
+        check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta, case.kernel,
+                                method="bogus")
