@@ -13,13 +13,14 @@ Subcommands
     Containment-mass tables and the spread-slope fit.
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 usage or
-configuration error, 3 numerical failure (ill-conditioned covariance,
-clipped spectrum, grid domain overflow, failed replica), reported as one
-stderr line.  Data outputs are byte-identical for identical (config,
-seed) at any thread count; the manifest additionally records wall-clock
-timings and the process's peak resident memory (``peak_rss_mib``), so it
-is the one file excluded from that guarantee.  It also counts, by class,
-the warnings a command raised instead of printing them.
+configuration error (a boolean, NaN or infinite config number among them),
+3 numerical failure (ill-conditioned covariance, clipped spectrum, grid
+domain overflow, failed replica), reported as one stderr line.  Data
+outputs are byte-identical for identical (config, seed) at any thread
+count; the manifest additionally records wall-clock timings and the
+process's peak resident memory (``peak_rss_mib``), so it is the one file
+excluded from that guarantee.  It also counts, by class, the warnings a
+command raised instead of printing them.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def cmd_xi_scan(cfg: RunConfig, frame: _Frame) -> int:
 def cmd_fluct_fit(cfg: RunConfig, frame: _Frame) -> int:
     params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
     with frame.stage("fluct-fit"):
-        fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(), kernel=cfg.kernel,
+        fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(), kernel=cfg.kernel, d=cfg.d,
                               backend=cfg.backend_kind, h=cfg.h, L=cfg.L, threads=cfg.threads)
     frame.write("fluct_fit.json", {
         "xi_hat": fit.xi_hat, "ci_low": fit.ci_low, "ci_high": fit.ci_high,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -53,6 +54,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # the bound also rejects NaN, the infinities and ints beyond float range
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
@@ -77,17 +87,16 @@ class RunConfig:
 
 
 def validate_config(doc: dict) -> RunConfig:
-    _require(isinstance(doc.get("seed"), int), "seed must be an integer")
+    _require(_is_int(doc.get("seed")), "seed must be an integer")
     seed = doc["seed"] & 0xFFFFFFFFFFFFFFFF
-    _require(isinstance(doc.get("d"), int) and doc["d"] >= 1, "d must be an integer >= 1")
     beta = doc.get("beta")
-    _require(isinstance(beta, (int, float)) and beta >= 0, "beta must be a real >= 0")
+    _require(_is_real(beta) and beta >= 0, "beta must be a finite real >= 0")
 
     kdoc = doc["kernel"]
     _require(kdoc.get("kind") in KERNEL_KINDS,
              f"kernel.kind must be one of {KERNEL_KINDS}, got {kdoc.get('kind')!r}")
     lam = kdoc.get("lambda")
-    _require(isinstance(lam, (int, float)) and lam > 0, "kernel.lambda must be positive")
+    _require(_is_real(lam) and lam > 0, "kernel.lambda must be a positive finite real")
     _require(isinstance(kdoc.get("normalize_unit_variance"), bool),
              "kernel.normalize_unit_variance must be true or false")
     kernel = KernelSpec(kind=kdoc["kind"], lam=float(lam),
@@ -98,22 +107,21 @@ def validate_config(doc: dict) -> RunConfig:
              f"backend.kind must be 'exact' or 'grid', got {bdoc.get('kind')!r}")
     for name in ("h", "L"):
         value = bdoc.get(name)
-        _require(value is None or (isinstance(value, (int, float)) and value > 0),
-                 f"backend.{name} must be positive when given")
+        _require(value is None or (_is_real(value) and value > 0),
+                 f"backend.{name} must be a positive finite real when given")
 
     n_grid = doc["n_grid"]
     _require(isinstance(n_grid, list) and len(n_grid) > 0, "n_grid must be a nonempty list")
-    _require(all(isinstance(n, int) and n >= 1 for n in n_grid), "n_grid entries must be integers >= 1")
+    _require(all(_is_int(n) and n >= 1 for n in n_grid), "n_grid entries must be integers >= 1")
     _require(list(n_grid) == sorted(n_grid), "n_grid must be sorted ascending")
 
     alphas = doc["alphas"]
     _require(isinstance(alphas, list) and len(alphas) > 0, "alphas must be a nonempty list")
-    _require(all(isinstance(a, (int, float)) and a > 0 for a in alphas), "alphas entries must be positive")
+    _require(all(_is_real(a) and a > 0 for a in alphas), "alphas entries must be positive finite reals")
 
-    _require(isinstance(doc.get("nu"), (int, float)) and doc["nu"] > 0.5, "nu must exceed 0.5")
-    _require(isinstance(doc.get("M"), int) and doc["M"] >= 2, "M must be an integer >= 2")
-    _require(isinstance(doc.get("R"), int) and doc["R"] >= 2, "R must be an integer >= 2")
-    _require(isinstance(doc.get("threads"), int) and doc["threads"] >= 1, "threads must be an integer >= 1")
+    _require(_is_real(doc.get("nu")) and doc["nu"] > 0.5, "nu must be a finite real above 0.5")
+    for name, low in (("d", 1), ("M", 2), ("R", 2), ("threads", 1)):
+        _require(_is_int(doc.get(name)) and doc[name] >= low, f"{name} must be an integer >= {low}")
     _require(isinstance(doc.get("output_dir"), str) and doc["output_dir"], "output_dir must be a nonempty string")
 
     return RunConfig(

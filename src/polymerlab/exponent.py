@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import suggested_halfwidth
-from .gibbs import GibbsParams, gibbs_expect, quenched_average, replica_hamiltonian
+from .gibbs import GibbsParams, gibbs_expect, quenched_average, replica_over_n
 from .gibbs import hamiltonian  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .kernels import KernelSpec, _as_points
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
-from .walk import running_max_norm, sample_paths
+from .walk import running_max_norm
+from .walk import sample_paths  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 
 
 @dataclass(frozen=True)
@@ -72,23 +72,6 @@ class ScanRow:
     M: int
 
 
-def _cell_masses(seed: int, n: int, alphas, params: GibbsParams, event: str,
-                 kernel: KernelSpec, d: int, backend: str,
-                 h: float | None, L: float | None) -> np.ndarray:
-    paths = sample_paths(seed, params.M, n, d)
-    hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend, h=h, L=L)
-    if event == "endpoint":
-        extent = np.abs(paths.endpoints).max(axis=1)
-    else:
-        extent = running_max_norm(paths)
-    out = np.empty(len(alphas))
-    for a_idx, alpha in enumerate(alphas):
-        est = gibbs_expect(None, paths, params.beta, (extent <= float(n) ** alpha).astype(float),
-                           hamiltonian_values=hv)
-        out[a_idx] = est.value
-    return out
-
-
 def xi_scan(alphas, n_grid, params: GibbsParams, env_seeds, event: str = "endpoint",
             kernel: KernelSpec = KernelSpec(), d: int = 1, backend: str = "grid",
             h: float | None = None, L: float | None = None,
@@ -101,20 +84,22 @@ def xi_scan(alphas, n_grid, params: GibbsParams, env_seeds, event: str = "endpoi
     if event not in ("endpoint", "running_max"):
         raise ValueError(f"unknown event {event!r}")
     alphas = sorted(float(a) for a in alphas)
-    if not alphas or not list(n_grid):
+    n_values = list(n_grid)
+    if not alphas or not n_values:
         raise ValueError("alphas and n_grid must be nonempty")
     if d > 1 and backend == "grid":
         raise ValueError("d > 1 requires the exact backend")
-    seeds = list(env_seeds)
-    rows = []
-    for n in n_grid:
-        L_eff = L if L is not None else suggested_halfwidth(n)
-        qa = quenched_average(seeds, lambda s: _cell_masses(
-            s, n, alphas, params, event, kernel, d, backend, h, L_eff), threads=threads)
-        rows += [ScanRow(n=int(n), alpha=alpha, event=event, mass_mean=float(mean),
-                         mass_stderr=float(stderr), R=qa.R, M=params.M)
-                 for alpha, mean, stderr in zip(alphas, qa.mean, qa.stderr)]
-    return rows
+
+    def masses(paths, hv, n) -> list[float]:
+        extent = np.abs(paths.endpoints).max(axis=1) if event == "endpoint" else running_max_norm(paths)
+        return [gibbs_expect(None, paths, params.beta, (extent <= float(n) ** alpha).astype(float),
+                             hamiltonian_values=hv).value for alpha in alphas]
+
+    qa = quenched_average(env_seeds, lambda s: replica_over_n(
+        s, n_values, params, masses, kernel, d=d, backend=backend, h=h, L=L), threads=threads)
+    cells = zip([(n, alpha) for n in n_values for alpha in alphas], qa.mean, qa.stderr)
+    return [ScanRow(n=int(n), alpha=alpha, event=event, mass_mean=float(mean),
+                    mass_stderr=float(stderr), R=qa.R, M=params.M) for (n, alpha), mean, stderr in cells]
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,7 @@ class FluctuationFit:
 
 
 def fluctuation_fit(n_grid, params: GibbsParams, env_seeds,
-                    kernel: KernelSpec = KernelSpec(), backend: str = "grid",
+                    kernel: KernelSpec = KernelSpec(), d: int = 1, backend: str = "grid",
                     h: float | None = None, L: float | None = None,
                     n_boot: int = 500, boot_seed: int = 0,
                     threads: int = 1) -> FluctuationFit:
@@ -146,21 +131,16 @@ def fluctuation_fit(n_grid, params: GibbsParams, env_seeds,
     n_values = sorted(int(n) for n in n_grid)
     if len(set(n_values)) < 4:
         raise ValueError("fluctuation fit needs at least 4 distinct n values")
-    seeds = list(env_seeds)
-    d = 1
+    if d > 1 and backend == "grid":
+        raise ValueError("d > 1 requires the exact backend")
 
-    def one(seed: int) -> np.ndarray:
-        out = np.empty(len(n_values))
-        for n_idx, n in enumerate(n_values):
-            L_eff = L if L is not None else suggested_halfwidth(n)
-            paths = sample_paths(seed, params.M, n, d)
-            hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend,
-                                     h=h, L=L_eff)
-            out[n_idx] = gibbs_expect(None, paths, params.beta, running_max_norm(paths),
-                                      hamiltonian_values=hv).value
-        return out
+    def spread(paths, hv, n) -> float:
+        return gibbs_expect(None, paths, params.beta, running_max_norm(paths),
+                            hamiltonian_values=hv).value
 
-    values = quenched_average(seeds, one, threads=threads).values       # (R, len(n))
+    values = quenched_average(env_seeds, lambda s: replica_over_n(
+        s, n_values, params, spread, kernel, d=d, backend=backend, h=h, L=L),
+        threads=threads).values                                         # (R, len(n))
     medians = np.median(values, axis=0)
     means = values.mean(axis=0)
 
@@ -175,7 +155,7 @@ def fluctuation_fit(n_grid, params: GibbsParams, env_seeds,
     rng = np.random.default_rng(boot_seed)
     boot = np.empty(n_boot)
     for b in range(n_boot):
-        take = rng.integers(0, len(seeds), len(seeds))
+        take = rng.integers(0, len(values), len(values))
         boot[b] = slope_of(np.median(values[take], axis=0))
     ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
     return FluctuationFit(

@@ -11,6 +11,10 @@ method; the effective sample size 1 / sum(normalized weights^2) is
 reported and a degeneracy warning is emitted when it falls below 1% of
 the ensemble size or below 2.  :func:`quenched_average` takes every
 environment average: a replica mean with a cross-replica standard error.
+
+:func:`replica_over_n` builds every quenched estimator's replica (paths,
+field, H) but that of ``verify._tilted_log_mass``, which queries a free and a
+tilted ensemble together on one field and keeps the signature tests pin.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .environment import EnvironmentHandle
+from .environment import EnvironmentHandle, suggested_halfwidth
 from .kernels import KernelSpec
 from .parallel import parallel_map
-from .walk import PathEnsemble
+from .walk import PathEnsemble, sample_paths
 
 ESS_WARN_FRACTION = 0.01
 
@@ -92,6 +96,23 @@ def replica_hamiltonian(seed: int, paths: PathEnsemble, beta: float, kernel: Ker
     if beta == 0:
         return np.zeros(paths.M)
     return hamiltonian(EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L), paths)
+
+
+def replica_over_n(seed: int, n_values, params: GibbsParams, reduce, kernel: KernelSpec,
+                   d: int = 1, backend: str = "grid", h: float | None = None,
+                   L: float | None = None) -> np.ndarray:
+    """``reduce(paths, H, n)``, a float or a vector, per n of one replica, joined in n order.
+
+    ``params.M`` paths come from ``seed``; H from :func:`replica_hamiltonian` on a
+    grid of half-width ``L``, or ``suggested_halfwidth(n)`` when ``L`` is None.
+    """
+    parts = []
+    for n in n_values:
+        paths = sample_paths(seed, params.M, n, d)
+        hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend, h=h,
+                                 L=L if L is not None else suggested_halfwidth(n))
+        parts.append(reduce(paths, hv, n))
+    return np.hstack(parts)
 
 
 def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float]:

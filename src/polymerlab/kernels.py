@@ -68,17 +68,12 @@ def _as_points(x, d: int | None = None) -> np.ndarray:
 def gamma_eval(kernel: KernelSpec, x):
     """Evaluate gamma at one lag (d-vector) or a batch of lags ((m, d) array).
 
-    Returns a float for a single lag and an (m,) array for a batch.
+    Returns a float for a single lag and an (m,) array for a batch: the
+    column of :func:`gamma_matrix` against the origin.
     """
     pts = _as_points(x)
-    scalar = np.ndim(x) <= 1
-    if kernel.kind == "exponential-petermann":
-        out = kernel.amplitude * np.exp(-kernel.lam * np.abs(pts).max(axis=1))
-    elif kernel.kind == "squared-exponential":
-        out = kernel.amplitude * np.exp(-0.5 * kernel.lam**2 * np.sum(pts**2, axis=1))
-    else:
-        out = np.prod(kernel.amplitude * np.exp(-kernel.lam * np.abs(pts)), axis=1)
-    return float(out[0]) if scalar else out
+    out = gamma_matrix(kernel, pts, np.zeros((1, pts.shape[1])))[:, 0]
+    return float(out[0]) if np.ndim(x) <= 1 else out
 
 
 def _exp_decay(x: np.ndarray, rate: float, amplitude: float) -> np.ndarray:

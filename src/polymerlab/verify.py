@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
-from .gibbs import GibbsParams, quenched_average, replica_hamiltonian
+from .gibbs import GibbsParams, quenched_average, replica_hamiltonian, replica_over_n
 from .kernels import KernelSpec, gamma_matrix
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .quadrature import (MC_CHUNK, _batches, gauss_hermite_expect, gauss_hermite_mean,
@@ -267,15 +267,14 @@ def girsanov_identity_test(params: GibbsParams, lam: float, env_seeds,
     n, beta = params.n, params.beta
     L_eff = L if L is not None else suggested_halfwidth(n, drift=n * abs(lam))
 
-    def one(seed: int) -> float:
-        paths = sample_paths(seed, params.M, n, 1)
+    def log_ratio(paths, hv, n) -> float:
         log_m = lam * paths.endpoints[:, 0] - 0.5 * n * lam**2
-        hv = replica_hamiltonian(seed, paths, beta, kernel, h=h, L=L_eff)
         return float(logsumexp(beta * hv + log_m) - logsumexp(beta * hv))
 
-    qa = quenched_average(env_seeds, one, threads=threads)
+    qa = quenched_average(env_seeds, lambda s: replica_over_n(
+        s, [n], params, log_ratio, kernel, h=h, L=L_eff), threads=threads)
     return make_report(f"girsanov_identity(n={n},beta={beta:g},lambda={lam:g})",
-                       qa.mean, qa.stderr, lower=0.0, upper=0.0)
+                       qa.mean[0], qa.stderr[0], lower=0.0, upper=0.0)
 
 
 def mean_control_test(alpha: float, n_grid, params: GibbsParams, env_seeds,
@@ -300,7 +299,6 @@ def mean_control_test(alpha: float, n_grid, params: GibbsParams, env_seeds,
 
 def ball_bound_test(alpha: float, n: int, k: int, j, params: GibbsParams, env_seeds,
                     kernel: KernelSpec = KernelSpec(),
-                    backend: str | None = None,
                     h: float | None = None, L: float | None = None,
                     threads: int = 1) -> BoundCheckReport:
     """Quenched mean of log <1_{S_k in B(j n^alpha, n^alpha)}> against its bound.
@@ -319,11 +317,8 @@ def ball_bound_test(alpha: float, n: int, k: int, j, params: GibbsParams, env_se
     center = j * radius
     eps = np.sign(j)
     tilt = TiltSpec(lambda_tilde=(j - eps) * radius, k=k)
-    if backend is None:
-        backend = "grid" if d == 1 else "exact"
-    L_eff = L
-    if backend == "grid" and L_eff is None:
-        L_eff = suggested_halfwidth(n, drift=float(np.abs(tilt.lambda_tilde).max()), margin=radius + 1)
+    if d == 1 and L is None:
+        L = suggested_halfwidth(n, drift=float(np.abs(tilt.lambda_tilde).max()), margin=radius + 1)
 
     def event(t: PathEnsemble) -> np.ndarray:
         return np.abs(t.positions[:, k - 1, :] - center).max(axis=1) <= radius
@@ -332,7 +327,7 @@ def ball_bound_test(alpha: float, n: int, k: int, j, params: GibbsParams, env_se
         f"ball_bound(n={n},k={k},j={tuple(int(x) for x in j)},alpha={alpha:g},beta={params.beta:g})",
         -0.5 * float(n) ** (2 * alpha - 1) * float(((j - eps) ** 2).sum()), env_seeds, threads,
         kernel=kernel, n=n, M=params.M, beta=params.beta, tilt=tilt, event_fn=event,
-        d=d, backend=backend, h=h, L=L_eff)
+        d=d, backend="grid" if d == 1 else "exact", h=h, L=L)
 
 
 # -- concentration ------------------------------------------------------------
@@ -374,27 +369,25 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
         raise ValueError(f"concentration scan needs >= 200 replicas per n, got {len(seeds)}")
     if functional not in ("logZ", "logW_event"):
         raise ValueError(f"unknown functional {functional!r}")
-    rows = []
-    for n in n_grid:
-        L_eff = L if L is not None else suggested_halfwidth(n)
 
-        def one(seed: int, n=n, L_eff=L_eff) -> float:
-            paths = sample_paths(seed, params.M, n, 1)
-            hv = replica_hamiltonian(seed, paths, params.beta, kernel, h=h, L=L_eff)
-            if functional == "logZ":
-                return float(logsumexp(params.beta * hv) - math.log(params.M))
-            mask = np.abs(paths.endpoints).max(axis=1) <= float(n) ** event_alpha
-            if not mask.any():
+    def log_w(paths, hv, n) -> float:
+        if functional == "logW_event":
+            hv = hv[np.abs(paths.endpoints).max(axis=1) <= float(n) ** event_alpha]
+            if not hv.size:
                 raise ValueError(f"event for logW_event has no sampled mass at n={n}")
-            return float(logsumexp(params.beta * hv[mask]) - math.log(params.M))
+        return float(logsumexp(params.beta * hv) - math.log(params.M))
 
-        qa = quenched_average(seeds, one, threads=threads)
-        std = float(qa.values.std(ddof=1))
+    n_values = list(n_grid)
+    qa = quenched_average(seeds, lambda s: replica_over_n(
+        s, n_values, params, log_w, kernel, h=h, L=L), threads=threads)
+    rows = []
+    for n, values, mean in zip(n_values, qa.values.T, qa.mean):
+        std = float(values.std(ddof=1))
         thr = float(n) ** nu
-        freq = float(np.mean(np.abs(qa.values - qa.mean) >= thr))
+        freq = float(np.mean(np.abs(values - mean) >= thr))
         freq_se = float(np.sqrt(max(freq * (1 - freq), 1.0 / len(seeds)) / len(seeds)))
         rows.append(ConcentrationRow(
-            n=int(n), R=len(seeds), mean=qa.mean, std=std,
+            n=int(n), R=len(seeds), mean=float(mean), std=std,
             exceedance_freq=freq, exceedance_stderr=freq_se,
             paper_bound=concentration_bound(n, nu), std_over_n_nu=std / thr))
     return rows

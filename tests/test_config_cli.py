@@ -234,3 +234,46 @@ def test_moment_suites_write_quadrature_mc_agreement_per_case(tmp_path, suite, l
         assert quad.startswith(f"{label}(") and quad.endswith(",method=quadrature)")
         assert mc.startswith(f"{label}(") and mc.endswith(",method=mc)")
         assert agree == f"{label}_mc_vs_quadrature(case={idx})"
+
+
+# json writes float("inf") and float("nan") as Infinity and NaN, which json.load reads back
+BAD_NUMBERS = [
+    ({"seed": True}, "seed"), ({"d": True}, "d must"), ({"beta": float("inf")}, "beta"),
+    ({"beta": True}, "beta"), ({"kernel": {"lambda": float("inf")}}, "kernel.lambda"),
+    ({"kernel": {"lambda": True}}, "kernel.lambda"), ({"backend": {"L": float("inf")}}, "backend.L"),
+    ({"backend": {"L": 10**400}}, "backend.L"), ({"backend": {"h": float("nan")}}, "backend.h"),
+    ({"backend": {"h": True}}, "backend.h"), ({"n_grid": [True, 4]}, "n_grid"),
+    ({"alphas": [float("inf")]}, "alphas"), ({"alphas": [True]}, "alphas"),
+    ({"nu": float("inf")}, "nu"), ({"nu": float("nan")}, "nu"), ({"M": 100.0}, "M must"),
+    ({"R": True}, "R must"), ({"threads": True}, "threads"),
+]
+
+
+@pytest.mark.parametrize("overrides, field", BAD_NUMBERS)
+def test_boolean_and_non_finite_config_numbers_exit_two(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=field):
+        load_config(cfg)
+    assert main(["env-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polymerlab: error: ") and field in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["xi-scan"], ["verify", "concentration"]])
+def test_non_finite_numbers_exit_two_before_any_work(tmp_path, command):
+    for overrides in ({"backend": {"L": float("inf")}}, {"nu": float("inf")}):
+        cfg = write_config(tmp_path, M=20, R=200, **overrides)    # concentration needs R >= 200
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_fluct_fit_honours_d(tmp_path):
+    d2 = {"d": 2, "kernel": {"kind": "product-exponential"}, "M": 20, "R": 3,
+          "n_grid": [2, 3, 4, 5]}
+    out = tmp_path / "exact"
+    assert main(["fluct-fit", "--config", write_config(tmp_path, **d2, backend={"kind": "exact"}),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "fluct_fit.json").read_text())
+    assert doc["d"] == 2 and doc["reference_band"] is None
+    grid = write_config(tmp_path, **d2, backend={"kind": "grid"})
+    assert main(["fluct-fit", "--config", grid, "--out", str(tmp_path / "grid")]) == 2

@@ -123,3 +123,31 @@ def test_validation_errors():
         gamma_eval(KernelSpec(), np.array([np.inf]))
     with pytest.raises(ValueError):
         gamma_eval(KernelSpec(), np.nan)
+
+
+def formula_gamma_eval(kernel, x):
+    """Reference: gamma at a lag written out per kernel kind, as gamma_eval once was."""
+    pts = _as_points(x)
+    if kernel.kind == "exponential-petermann":
+        out = kernel.amplitude * np.exp(-kernel.lam * np.abs(pts).max(axis=1))
+    elif kernel.kind == "squared-exponential":
+        out = kernel.amplitude * np.exp(-0.5 * kernel.lam**2 * np.sum(pts**2, axis=1))
+    else:
+        out = np.prod(kernel.amplitude * np.exp(-kernel.lam * np.abs(pts)), axis=1)
+    return float(out[0]) if np.ndim(x) <= 1 else out
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+def test_gamma_eval_bytes_match_per_kind_formulas(kind, d):
+    lags = np.random.default_rng(d).normal(scale=3.0, size=(50, d))
+    lags[0], lags[1], lags[2, 0] = 0.0, -0.0, -0.0
+    for lam in (0.1, 1 / 3, 0.5, 1.0, 2.0):
+        for normalize in (True, False):
+            spec = KernelSpec(kind=kind, lam=lam, normalize_unit_variance=normalize)
+            grid_lags = (0.1 / lam * np.arange(64))[:, None]    # the grid spectrum's lag sequence
+            for batch in (lags, grid_lags) if d == 1 else (lags,):
+                assert_same_bytes(gamma_eval(spec, batch), formula_gamma_eval(spec, batch))
+            for lag in (*lags[:4], 0.0, -0.0, 1.7):
+                got, want = gamma_eval(spec, lag), formula_gamma_eval(spec, lag)
+                assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -1,0 +1,193 @@
+"""The estimators built on ``gibbs.replica_over_n`` against per-n reference loops.
+
+Each reference below keeps the loop its estimator used before the shared
+per-replica routine existed: one replica (paths, field, H) built by hand per
+(seed, n), and for xi-scan and concentration one ``quenched_average`` per n.
+The estimators must return exactly equal results.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp
+
+from polymerlab.environment import suggested_halfwidth
+from polymerlab.exponent import FluctuationFit, ScanRow, fluctuation_fit, xi_scan
+from polymerlab.gibbs import (GibbsParams, gibbs_expect, quenched_average, replica_hamiltonian,
+                              replica_over_n)
+from polymerlab.kernels import KernelSpec
+from polymerlab.verify import (ConcentrationRow, concentration_bound, concentration_scan,
+                               girsanov_identity_test, make_report)
+from polymerlab.walk import running_max_norm, sample_paths
+
+PRODUCT = KernelSpec(kind="product-exponential", lam=1.2)
+
+
+def reference_cell_masses(seed, n, alphas, params, event, kernel, d, backend, h, L):
+    paths = sample_paths(seed, params.M, n, d)
+    hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend, h=h, L=L)
+    if event == "endpoint":
+        extent = np.abs(paths.endpoints).max(axis=1)
+    else:
+        extent = running_max_norm(paths)
+    out = np.empty(len(alphas))
+    for a_idx, alpha in enumerate(alphas):
+        est = gibbs_expect(None, paths, params.beta, (extent <= float(n) ** alpha).astype(float),
+                           hamiltonian_values=hv)
+        out[a_idx] = est.value
+    return out
+
+
+def reference_xi_scan(alphas, n_grid, params, env_seeds, event="endpoint", kernel=KernelSpec(),
+                      d=1, backend="grid", h=None, L=None, threads=1):
+    alphas = sorted(float(a) for a in alphas)
+    seeds = list(env_seeds)
+    rows = []
+    for n in n_grid:
+        L_eff = L if L is not None else suggested_halfwidth(n)
+        qa = quenched_average(seeds, lambda s: reference_cell_masses(
+            s, n, alphas, params, event, kernel, d, backend, h, L_eff), threads=threads)
+        rows += [ScanRow(n=int(n), alpha=alpha, event=event, mass_mean=float(mean),
+                         mass_stderr=float(stderr), R=qa.R, M=params.M)
+                 for alpha, mean, stderr in zip(alphas, qa.mean, qa.stderr)]
+    return rows
+
+
+def reference_fluctuation_fit(n_grid, params, env_seeds, kernel=KernelSpec(), d=1, backend="grid",
+                              h=None, L=None, n_boot=500, boot_seed=0, threads=1):
+    n_values = sorted(int(n) for n in n_grid)
+    seeds = list(env_seeds)
+
+    def one(seed):
+        out = np.empty(len(n_values))
+        for n_idx, n in enumerate(n_values):
+            L_eff = L if L is not None else suggested_halfwidth(n)
+            paths = sample_paths(seed, params.M, n, d)
+            hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend,
+                                     h=h, L=L_eff)
+            out[n_idx] = gibbs_expect(None, paths, params.beta, running_max_norm(paths),
+                                      hamiltonian_values=hv).value
+        return out
+
+    values = quenched_average(seeds, one, threads=threads).values
+    medians = np.median(values, axis=0)
+    means = values.mean(axis=0)
+
+    def slope_of(spreads):
+        keep = spreads > 0
+        return float(np.polyfit(np.log(np.asarray(n_values, dtype=float)[keep]),
+                                np.log(spreads[keep]), 1)[0])
+
+    rng = np.random.default_rng(boot_seed)
+    boot = np.empty(n_boot)
+    for b in range(n_boot):
+        take = rng.integers(0, len(seeds), len(seeds))
+        boot[b] = slope_of(np.median(values[take], axis=0))
+    ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
+    return FluctuationFit(
+        xi_hat=slope_of(medians), ci_low=float(ci_low), ci_high=float(ci_high),
+        n_grid=tuple(n_values), beta=params.beta, lam=kernel.lam, d=d,
+        spreads_median=tuple(float(v) for v in medians),
+        spreads_mean=tuple(float(v) for v in means),
+        reference_band=(0.6, 0.75) if d == 1 else None)
+
+
+def reference_concentration_scan(params, nu, n_grid, env_seeds, functional="logZ",
+                                 event_alpha=0.75, kernel=KernelSpec(), h=None, L=None,
+                                 threads=1):
+    seeds = list(env_seeds)
+    rows = []
+    for n in n_grid:
+        L_eff = L if L is not None else suggested_halfwidth(n)
+
+        def one(seed, n=n, L_eff=L_eff):
+            paths = sample_paths(seed, params.M, n, 1)
+            hv = replica_hamiltonian(seed, paths, params.beta, kernel, h=h, L=L_eff)
+            if functional == "logZ":
+                return float(logsumexp(params.beta * hv) - math.log(params.M))
+            mask = np.abs(paths.endpoints).max(axis=1) <= float(n) ** event_alpha
+            return float(logsumexp(params.beta * hv[mask]) - math.log(params.M))
+
+        qa = quenched_average(seeds, one, threads=threads)
+        std = float(qa.values.std(ddof=1))
+        thr = float(n) ** nu
+        freq = float(np.mean(np.abs(qa.values - qa.mean) >= thr))
+        freq_se = float(np.sqrt(max(freq * (1 - freq), 1.0 / len(seeds)) / len(seeds)))
+        rows.append(ConcentrationRow(
+            n=int(n), R=len(seeds), mean=qa.mean, std=std,
+            exceedance_freq=freq, exceedance_stderr=freq_se,
+            paper_bound=concentration_bound(n, nu), std_over_n_nu=std / thr))
+    return rows
+
+
+def reference_girsanov_identity_test(params, lam, env_seeds, kernel=KernelSpec(), h=None, L=None,
+                                     threads=1):
+    n, beta = params.n, params.beta
+    L_eff = L if L is not None else suggested_halfwidth(n, drift=n * abs(lam))
+
+    def one(seed):
+        paths = sample_paths(seed, params.M, n, 1)
+        log_m = lam * paths.endpoints[:, 0] - 0.5 * n * lam**2
+        hv = replica_hamiltonian(seed, paths, beta, kernel, h=h, L=L_eff)
+        return float(logsumexp(beta * hv + log_m) - logsumexp(beta * hv))
+
+    qa = quenched_average(env_seeds, one, threads=threads)
+    return make_report(f"girsanov_identity(n={n},beta={beta:g},lambda={lam:g})",
+                       qa.mean, qa.stderr, lower=0.0, upper=0.0)
+
+
+def test_replica_over_n_joins_reducer_values_in_n_order():
+    params = GibbsParams(beta=0.5, n=9, M=30, R=2)
+    seen = []
+
+    def reduce(paths, hv, n):
+        seen.append((n, paths.positions.shape, hv.shape))
+        return [float(n), float(hv.sum())] if n == 4 else float(n)
+
+    out = replica_over_n(3, [4, 9], params, reduce, KernelSpec())
+    assert seen == [(4, (30, 4, 1), (30,)), (9, (30, 9, 1), (30,))]
+    paths = sample_paths(3, 30, 4, 1)
+    hv = replica_hamiltonian(3, paths, 0.5, KernelSpec(), L=suggested_halfwidth(4))
+    assert out.tolist() == [4.0, float(hv.sum()), 9.0]
+
+
+@pytest.mark.parametrize("event", ["endpoint", "running_max"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_xi_scan_matches_per_n_loop_on_the_grid(event, threads):
+    params = GibbsParams(beta=0.7, n=16, M=60, R=5)
+    args = ([0.8, 0.6, 0.7], [4, 9, 16], params, range(10, 15))
+    kw = dict(event=event, kernel=KernelSpec(lam=0.8), threads=threads)
+    assert xi_scan(*args, **kw) == reference_xi_scan(*args, **kw)
+
+
+def test_xi_scan_matches_per_n_loop_in_d2_on_the_exact_backend():
+    params = GibbsParams(beta=0.5, n=4, M=25, R=3)
+    args = ([0.6, 0.9], [2, 4], params, range(3))
+    kw = dict(event="running_max", kernel=PRODUCT, d=2, backend="exact")
+    assert xi_scan(*args, **kw) == reference_xi_scan(*args, **kw)
+
+
+@pytest.mark.parametrize("d, backend, kernel", [(1, "grid", KernelSpec(lam=1.3)),
+                                                (2, "exact", PRODUCT)])
+def test_fluctuation_fit_matches_per_n_loop(d, backend, kernel):
+    params = GibbsParams(beta=0.6, n=5, M=25, R=4)
+    args = ([5, 2, 3, 4], params, range(20, 24))
+    kw = dict(kernel=kernel, d=d, backend=backend, n_boot=50, boot_seed=3)
+    assert fluctuation_fit(*args, **kw) == reference_fluctuation_fit(*args, **kw)
+
+
+@pytest.mark.parametrize("functional", ["logZ", "logW_event"])
+def test_concentration_scan_matches_per_n_loop(functional):
+    params = GibbsParams(beta=0.8, n=5, M=40, R=200)
+    args = (params, 0.75, [2, 3, 5], range(300, 500))
+    kw = dict(functional=functional, kernel=KernelSpec(lam=1.5), threads=2)
+    assert concentration_scan(*args, **kw) == reference_concentration_scan(*args, **kw)
+
+
+@pytest.mark.parametrize("L", [None, 12.0])
+def test_girsanov_identity_matches_per_seed_reference(L):
+    params = GibbsParams(beta=0.5, n=6, M=80, R=6)
+    args = (params, 0.2, range(40, 46))
+    kw = dict(kernel=KernelSpec(lam=0.9), L=L)
+    assert girsanov_identity_test(*args, **kw) == reference_girsanov_identity_test(*args, **kw)
