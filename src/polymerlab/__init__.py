@@ -1,30 +1,7 @@
-"""Desk-scale laboratory for directed polymers in a Gaussian random environment."""
+"""Desk-scale laboratory for directed polymers in a Gaussian random environment.
+
+The public API is the package's modules, imported by name, and the
+``polymerlab`` console script (``polymerlab.cli``).
+"""
 
 __version__ = "0.1.0"
-
-from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDomainError,
-                          SpectralClippingError, covariance_selftest)
-from .exponent import (BallIndex, FluctuationFit, ScanRow, ball_index_of, ball_indices,
-                       fluctuation_fit, xi_scan)
-from .gibbs import (GibbsEstimate, GibbsParams, QuenchedAverage, WeightDegeneracyWarning,
-                    gibbs_expect, hamiltonian, log_partition, quenched_average)
-from .kernels import KernelSpec, gamma_eval, gamma_matrix
-from .verify import (BoundCheckReport, BoundConstants, ConcentrationRow, ExpoIneqCase,
-                     IncrementProbeResult, ball_bound_test, check_expo_ineq,
-                     check_log_moment_bounds, concentration_bound, concentration_scan,
-                     girsanov_identity_test, martingale_increment_probe, mean_control_test,
-                     random_expo_cases)
-from .walk import PathEnsemble, TiltSpec, running_max_norm, sample_paths, tilt_log_weight, tilt_path
-
-__all__ = [
-    "BallIndex", "BoundCheckReport", "BoundConstants", "ConcentrationRow",
-    "CovarianceConditioningError", "EnvironmentHandle", "ExpoIneqCase", "FluctuationFit",
-    "GibbsEstimate", "GibbsParams", "GridDomainError", "IncrementProbeResult", "KernelSpec",
-    "PathEnsemble", "QuenchedAverage", "ScanRow", "SpectralClippingError", "TiltSpec",
-    "WeightDegeneracyWarning", "ball_bound_test", "ball_index_of", "ball_indices",
-    "check_expo_ineq", "check_log_moment_bounds", "concentration_bound", "concentration_scan",
-    "covariance_selftest", "fluctuation_fit", "gamma_eval", "gamma_matrix", "gibbs_expect",
-    "girsanov_identity_test", "hamiltonian", "log_partition", "martingale_increment_probe",
-    "mean_control_test", "quenched_average", "random_expo_cases", "running_max_norm",
-    "sample_paths", "tilt_log_weight", "tilt_path", "xi_scan",
-]

@@ -8,12 +8,17 @@ Subcommands
 ``verify <suite>``
     One of lemma21, lemma22, girsanov, meancontrol, ball, concentration,
     increment, or all.  Each suite writes a CSV of bound-check rows plus a
-    shared summary JSON.
+    shared summary JSON.  girsanov, meancontrol, concentration and
+    increment run in d = 1 only, and they and the d = 1 ball run on the
+    grid whatever ``backend.kind`` says; at d > 1, ``all`` runs lemma21,
+    lemma22 and ball.
 ``xi-scan`` / ``fluct-fit``
     Containment-mass tables and the spread-slope fit.
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 usage or
-configuration error (a boolean, NaN or infinite config number among them),
+configuration error (a boolean, NaN or infinite config number; d > 1
+without the exact backend and a kernel other than exponential-petermann;
+a configuration too large for memory; a d = 1-only suite at d > 1),
 3 numerical failure (ill-conditioned covariance, clipped spectrum, grid
 domain overflow, failed replica), reported as one stderr line.  Data
 outputs are byte-identical for identical (config, seed) at any thread
@@ -51,6 +56,7 @@ from .verify import (BoundCheckReport, ball_bound_test, check_expo_ineq, check_l
                      mean_control_test, random_expo_cases)
 
 VERIFY_SUITES = ("lemma21", "lemma22", "girsanov", "meancontrol", "ball", "concentration", "increment")
+D1_SUITES = ("girsanov", "meancontrol", "concentration", "increment")
 REPORT_CSV_HEADER = ("name", "estimate", "stderr", "lower_bound", "upper_bound", "margin_sigmas", "pass")
 
 BALL_ALPHA = 0.75           # makes n^(2*alpha-1) dyadic on the default n values
@@ -276,7 +282,10 @@ def cmd_env_check(cfg: RunConfig, frame: _Frame) -> int:
 
 
 def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
-    for name in VERIFY_SUITES if suite == "all" else [suite]:
+    skip = D1_SUITES if cfg.d > 1 else ()
+    if suite in skip:
+        raise ConfigError(f"verify {suite} runs in d = 1 only; the config has d = {cfg.d}")
+    for name in [s for s in VERIFY_SUITES if s not in skip] if suite == "all" else [suite]:
         with frame.stage(name):
             reports = _SUITE_RUNNERS[name](cfg)
         frame.write(f"verify_{name}.csv", REPORT_CSV_HEADER,
@@ -369,7 +378,7 @@ def main(argv=None) -> int:
             ReplicaError) as exc:
         print(f"polymerlab: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"polymerlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,6 +122,9 @@ def validate_config(doc: dict) -> RunConfig:
     _require(_is_real(doc.get("nu")) and doc["nu"] > 0.5, "nu must be a finite real above 0.5")
     for name, low in (("d", 1), ("M", 2), ("R", 2), ("threads", 1)):
         _require(_is_int(doc.get(name)) and doc[name] >= low, f"{name} must be an integer >= {low}")
+    _require(doc["d"] == 1 or (bdoc["kind"] == "exact" and kernel.kind != "exponential-petermann"),
+             "d > 1 needs backend.kind 'exact' and a kernel.kind other than 'exponential-petermann', "
+             f"got {bdoc['kind']!r} and {kernel.kind!r}")
     _require(isinstance(doc.get("output_dir"), str) and doc["output_dir"], "output_dir must be a nonempty string")
 
     return RunConfig(

@@ -194,7 +194,8 @@ def quenched_average(env_seeds, estimator, threads: int = 1) -> QuenchedAverage:
     ``estimator`` maps an environment seed to a float or to a fixed-length
     vector of floats; for a vector, ``mean`` and ``stderr`` are per entry.
     Replicas may run on a thread pool; results reduce in replica order,
-    and any replica failure aborts as ``ReplicaError`` naming its index and seed.
+    and any replica failure aborts as ``ReplicaError`` naming its index and seed,
+    but ``MemoryError`` propagates unwrapped, as a configuration too large for memory.
     """
     seeds = list(env_seeds)
     if len(seeds) < 2:
@@ -204,6 +205,8 @@ def quenched_average(env_seeds, estimator, threads: int = 1) -> QuenchedAverage:
         r, seed = item
         try:
             return np.asarray(estimator(seed), dtype=float)
+        except MemoryError:
+            raise
         except Exception as exc:
             raise ReplicaError(f"environment replica {r} (seed {seed}) failed: {exc}") from exc
 

@@ -214,8 +214,7 @@ def check_log_moment_bounds(mu_atoms, mu_weights, beta: float, kernel: KernelSpe
 
     estimate, stderr = _oracle(method, cov, integrand, n_nodes, n_draws, seed, exponential=False)
     w = case.mu_weights[case.mu_weights > 0]
-    atoms = case.mu_atoms[case.mu_weights > 0]
-    overlap = float(w @ gamma_matrix(kernel, atoms[:, None]) @ w)
+    overlap = float(w @ cov[np.ix_(atom_idx, atom_idx)] @ w)
     constants = BoundConstants(beta=beta, sigma2=case.sigma2)
     return make_report(f"log_moment(beta={beta:g},method={method})", estimate, stderr,
                        lower=-constants.c1 * overlap, upper=-constants.c2 * overlap)
@@ -473,19 +472,13 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
         raise ValueError("probe functional has zero sampled mass; enlarge f_radius")
     f_vals = f_vals.astype(float)
 
-    ham_slices = list(range(1, horizon + 1))
-    fixed_hi = [kk for kk in ham_slices if kk <= i]          # side E_i
-    fixed_lo = [kk for kk in ham_slices if kk <= i - 1]      # side E_{i-1}
-    fresh_hi = [kk for kk in ham_slices if kk > i]
-    fresh_lo = [kk for kk in ham_slices if kk >= i]
-
     outer = _draw_slices(template, idx, seed, _DOMAIN_PROBE_OUTER, n_outer,
                          list(range(1, i + 1)))                       # (O, i, M)
-    base_lo = outer[:, :len(fixed_lo), :].sum(axis=1)
-    base_hi = base_lo + (outer[:, i - 1, :] if i in fixed_hi else 0.0)
 
-    def side(base: np.ndarray, fresh: list[int], domain: int) -> tuple[np.ndarray, np.ndarray]:
-        u = f_vals[None, :] * np.exp(beta * base)            # (O, M)
+    def side(revealed: int, domain: int) -> tuple[np.ndarray, np.ndarray]:
+        """E[log W | F_revealed] per outer draw, from n_inner and 2*n_inner inner redraws."""
+        u = f_vals[None, :] * np.exp(beta * outer[:, :min(revealed, horizon)].sum(axis=1))  # (O, M)
+        fresh = list(range(revealed + 1, horizon + 1))
         if not fresh:
             vals = np.log(u.sum(axis=1)) - math.log(params.M)
             return vals, vals
@@ -498,8 +491,8 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
             full[rows] = log_w.mean(axis=1)
         return half, full
 
-    e_hi_half, e_hi_full = side(base_hi, fresh_hi, _DOMAIN_PROBE_INNER_HI)
-    e_lo_half, e_lo_full = side(base_lo, fresh_lo, _DOMAIN_PROBE_INNER_LO)
+    e_hi_half, e_hi_full = side(i, _DOMAIN_PROBE_INNER_HI)
+    e_lo_half, e_lo_full = side(i - 1, _DOMAIN_PROBE_INNER_LO)
 
     inc_half = np.exp(np.abs(e_hi_half - e_lo_half))
     inc_full = np.exp(np.abs(e_hi_full - e_lo_full))

@@ -8,7 +8,8 @@ import pytest
 from polymerlab import cli
 from polymerlab.cli import main
 from polymerlab.config import ConfigError, DEFAULT_CONFIG, load_config
-from polymerlab.verify import make_report
+from polymerlab.gibbs import GibbsParams
+from polymerlab.verify import make_report, martingale_increment_probe
 
 
 def write_config(tmp_path: Path, **overrides) -> str:
@@ -277,3 +278,64 @@ def test_fluct_fit_honours_d(tmp_path):
     assert doc["d"] == 2 and doc["reference_band"] is None
     grid = write_config(tmp_path, **d2, backend={"kind": "grid"})
     assert main(["fluct-fit", "--config", grid, "--out", str(tmp_path / "grid")]) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {"d": 2, "backend": {"kind": "exact"}},
+    {"d": 2, "kernel": {"kind": "product-exponential"}, "backend": {"kind": "grid"}},
+])
+@pytest.mark.parametrize("command", [["env-check"], ["xi-scan"], ["fluct-fit"], ["verify", "ball"]])
+def test_d2_configs_no_backend_builds_exit_two_before_any_work(tmp_path, capsys, overrides, command):
+    cfg = write_config(tmp_path, M=20, R=3, n_grid=[2, 3, 4, 5], **overrides)
+    with pytest.raises(ConfigError, match="backend.kind"):
+        load_config(cfg)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polymerlab: error: ")
+    assert "backend.kind" in err[0] and "kernel.kind" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+# L = 1e12 fails at once on address space; a huge M could be overcommitted instead
+@pytest.mark.parametrize("command", [["env-check"], ["xi-scan"]])
+def test_configuration_too_large_for_memory_exits_two(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, backend={"L": 1e12})
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polymerlab: error: ")
+
+
+def test_d1_only_suites_exit_two_at_d_above_one(tmp_path, capsys, monkeypatch):
+    ran = []
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli._SUITE_RUNNERS, name, lambda cfg, name=name: ran.append(name) or [
+            make_report(name, 0.0, 1.0, upper=1.0)])
+    cfg = write_config(tmp_path, d=2, kernel={"kind": "product-exponential"}, backend={"kind": "exact"})
+    for suite in ("girsanov", "meancontrol", "concentration", "increment"):
+        assert main(["verify", suite, "--config", cfg, "--out", str(tmp_path / suite)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("polymerlab: error: ") and suite in err[0]
+    assert ran == []
+    out = tmp_path / "all"
+    assert main(["verify", "all", "--config", cfg, "--out", str(out)]) == 0
+    assert ran == ["lemma21", "lemma22", "ball"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "verify_lemma21.csv", "verify_lemma22.csv", "verify_ball.csv", "verify_summary.json"]
+
+
+def test_verify_increment_rows_are_the_probe_reports(tmp_path):
+    out = tmp_path / "inc"
+    path = write_config(tmp_path, M=50)
+    assert main(["verify", "increment", "--config", path, "--out", str(out)]) in (0, 1)
+    cfg = load_config(path)
+    params = GibbsParams(beta=cfg.beta, n=4, M=min(cfg.M, 2000), R=cfg.R)
+    expected = []
+    for i in range(1, 5):
+        r = martingale_increment_probe(4, 4, i, params, cfg.seed, kernel=cfg.kernel,
+                                       h=cfg.h, L=cfg.L).report
+        expected.append([cli._fmt(v) for v in (r.name, r.estimate, r.stderr, r.lower_bound,
+                                                r.upper_bound, r.margin_sigmas, r.passed)])
+    with open(out / "verify_increment.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(cli.REPORT_CSV_HEADER) and rows[1:] == expected
+    assert json.loads((out / "verify_summary.json").read_text())["increment"]["checks"] == 4

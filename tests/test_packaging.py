@@ -12,3 +12,8 @@ def test_version_is_read_from_the_package():
     assert "version" not in doc["project"]
     assert "version" in doc["project"]["dynamic"]
     assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "polymerlab.__version__"}
+
+
+def test_requires_the_python_that_ci_tests():
+    # CI runs 3.11 with numpy 2.4.6 and scipy 1.17.1, which both require Python >= 3.11
+    assert tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"] == ">=3.11"
