@@ -18,9 +18,11 @@ Subcommands
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 usage or
 configuration error (a boolean, NaN or infinite config number; d > 1
 without the exact backend and a kernel other than exponential-petermann;
-a configuration too large for memory; a d = 1-only suite at d > 1),
-3 numerical failure (ill-conditioned covariance, clipped spectrum, grid
-domain overflow, failed replica), reported as one stderr line.  Data
+a configuration too large for memory; a d = 1-only suite at d > 1; a
+suite hypothesis, checked before any suite runs; an ``--out`` that
+cannot be made), 3 numerical failure (ill-conditioned covariance,
+clipped spectrum, grid domain overflow, failed replica), reported as one
+stderr line; a failure removes the directories it made while empty.  Data
 outputs are byte-identical for identical (config, seed) at any thread
 count; the manifest additionally records wall-clock timings and the
 process's peak resident memory (``peak_rss_mib``), so it is the one file
@@ -40,7 +42,7 @@ import sys
 import time
 import warnings
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +53,9 @@ from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDo
                           SpectralClippingError, covariance_selftest, grid_spacing)
 from .exponent import fluctuation_fit, xi_scan
 from .gibbs import ESTIMATE_CSV_HEADER, GibbsParams, ReplicaError, estimate_csv_row
-from .verify import (BoundCheckReport, ball_bound_test, check_expo_ineq, check_log_moment_bounds,
-                     concentration_scan, girsanov_identity_test, make_report, martingale_increment_probe,
+from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckReport,
+                     ball_bound_test, check_expo_ineq, check_log_moment_bounds, concentration_scan,
+                     girsanov_identity_test, make_report, martingale_increment_probe,
                      mean_control_test, random_expo_cases)
 
 VERIFY_SUITES = ("lemma21", "lemma22", "girsanov", "meancontrol", "ball", "concentration", "increment")
@@ -135,21 +138,20 @@ def _suite_lemma22(cfg: RunConfig) -> list[BoundCheckReport]:
 
 
 def _suite_girsanov(cfg: RunConfig) -> list[BoundCheckReport]:
-    n = max(cfg.n_grid)
-    params = GibbsParams(beta=cfg.beta, n=n, M=cfg.M, R=cfg.R)
+    params = GibbsParams(beta=cfg.beta, M=cfg.M)
     spacing = grid_spacing(cfg.kernel, cfg.h)
     reports = []
     for lam in (spacing, 2.0 * spacing):    # lattice multiples keep the identity exact
-        reports.append(girsanov_identity_test(params, lam, cfg.env_seeds(),
+        reports.append(girsanov_identity_test(max(cfg.n_grid), lam, params, cfg.env_seeds(),
                                               kernel=cfg.kernel, h=cfg.h, L=cfg.L,
                                               threads=cfg.threads))
     return reports
 
 
 def _suite_meancontrol(cfg: RunConfig) -> list[BoundCheckReport]:
+    params = GibbsParams(beta=cfg.beta, M=cfg.M)
     reports = []
     for alpha in cfg.alphas:
-        params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
         reports += mean_control_test(alpha, cfg.n_grid, params, cfg.env_seeds(),
                                      kernel=cfg.kernel, h=cfg.h, L=cfg.L, threads=cfg.threads)
     return reports
@@ -163,9 +165,9 @@ def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
         j_list, R_eff, M_eff = [(2,), (4,)], cfg.R, cfg.M
     else:
         j_list, R_eff, M_eff = [(2,) * cfg.d], min(cfg.R, 50), min(cfg.M, 300)
+    params = GibbsParams(beta=cfg.beta, M=M_eff)
     reports = []
     for n in BALL_N_VALUES:
-        params = GibbsParams(beta=cfg.beta, n=n, M=M_eff, R=R_eff)
         for j in j_list:
             reports.append(ball_bound_test(BALL_ALPHA, n, n, j, params, cfg.env_seeds(R_eff),
                                            kernel=cfg.kernel, h=cfg.h, L=cfg.L,
@@ -174,7 +176,7 @@ def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
 
 
 def _suite_concentration(cfg: RunConfig) -> list[BoundCheckReport]:
-    params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
+    params = GibbsParams(beta=cfg.beta, M=cfg.M)
     rows = concentration_scan(params, cfg.nu, cfg.n_grid, cfg.env_seeds(),
                               kernel=cfg.kernel, h=cfg.h, L=cfg.L, threads=cfg.threads)
     reports = []
@@ -192,7 +194,7 @@ def _suite_concentration(cfg: RunConfig) -> list[BoundCheckReport]:
 
 def _suite_increment(cfg: RunConfig) -> list[BoundCheckReport]:
     n = INCREMENT_N
-    params = GibbsParams(beta=cfg.beta, n=n, M=min(cfg.M, 2000), R=cfg.R)
+    params = GibbsParams(beta=cfg.beta, M=min(cfg.M, 2000))
     reports = []
     for i in range(1, n + 1):
         result = martingale_increment_probe(n, n, i, params, cfg.seed, kernel=cfg.kernel,
@@ -219,7 +221,8 @@ class _Frame:
     """One command's output dir, outputs, stage timings, summary and manifest.
 
     Entering it makes the output dir and records warnings (worker threads' too) instead
-    of printing them; a clean exit writes ``manifest.json``, counting them by class.
+    of printing them; a clean exit writes ``manifest.json``, counting them by class, and
+    a failed one removes the directories that entering made, if they are still empty.
     """
 
     def __init__(self, cfg: RunConfig, command: str):
@@ -228,14 +231,22 @@ class _Frame:
         self._recorder = warnings.catch_warnings(record=True)
 
     def __enter__(self) -> _Frame:
-        self.out.mkdir(parents=True, exist_ok=True)
+        self._made = [p for p in (self.out, *self.out.parents) if not p.exists()]
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {self.out}: {exc.strerror}") from exc
         self._caught = self._recorder.__enter__()
         warnings.simplefilter("always")     # keeps repeats, so counts match at any thread count
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
         self._recorder.__exit__(exc_type, *exc)
-        if exc_type is None:
+        if exc_type is not None:
+            with suppress(OSError):         # rmdir removes only empty directories, innermost first
+                for made in self._made:
+                    made.rmdir()
+        else:
             _write_json(self.out / "manifest.json", {
                 "artifact_version": __version__,
                 "command": self.command,
@@ -285,7 +296,12 @@ def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
     skip = D1_SUITES if cfg.d > 1 else ()
     if suite in skip:
         raise ConfigError(f"verify {suite} runs in d = 1 only; the config has d = {cfg.d}")
-    for name in [s for s in VERIFY_SUITES if s not in skip] if suite == "all" else [suite]:
+    names = [s for s in VERIFY_SUITES if s not in skip] if suite == "all" else [suite]
+    if "meancontrol" in names and min(cfg.alphas) <= MEAN_CONTROL_MIN_ALPHA:
+        raise ConfigError(f"verify meancontrol needs every alphas entry > 1/2, got {min(cfg.alphas):g}")
+    if "concentration" in names and cfg.R < CONCENTRATION_MIN_R:
+        raise ConfigError(f"verify concentration needs R >= {CONCENTRATION_MIN_R}, got {cfg.R}")
+    for name in names:
         with frame.stage(name):
             reports = _SUITE_RUNNERS[name](cfg)
         frame.write(f"verify_{name}.csv", REPORT_CSV_HEADER,
@@ -298,7 +314,7 @@ def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
 
 
 def cmd_xi_scan(cfg: RunConfig, frame: _Frame) -> int:
-    params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
+    params = GibbsParams(beta=cfg.beta, M=cfg.M)
     rows = []
     with frame.stage("xi-scan"):
         for event in ("endpoint", "running_max"):
@@ -313,7 +329,7 @@ def cmd_xi_scan(cfg: RunConfig, frame: _Frame) -> int:
 
 
 def cmd_fluct_fit(cfg: RunConfig, frame: _Frame) -> int:
-    params = GibbsParams(beta=cfg.beta, n=max(cfg.n_grid), M=cfg.M, R=cfg.R)
+    params = GibbsParams(beta=cfg.beta, M=cfg.M)
     with frame.stage("fluct-fit"):
         fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(), kernel=cfg.kernel, d=cfg.d,
                               backend=cfg.backend_kind, h=cfg.h, L=cfg.L, threads=cfg.threads)
@@ -359,14 +375,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:        # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
 
-    threads = args.threads
-    if threads is None and os.environ.get("POLYMERLAB_THREADS"):
-        try:
-            threads = int(os.environ["POLYMERLAB_THREADS"])
-        except ValueError:
-            print("POLYMERLAB_THREADS must be an integer", file=sys.stderr)
-            return 2
     try:
+        threads = args.threads
+        if threads is None and os.environ.get("POLYMERLAB_THREADS"):
+            try:
+                threads = int(os.environ["POLYMERLAB_THREADS"])
+            except ValueError:
+                raise ConfigError("POLYMERLAB_THREADS must be an integer") from None
         cfg = load_config(args.config, seed=args.seed, threads=threads, output_dir=args.out)
         run = {"env-check": cmd_env_check, "verify": cmd_verify, "xi-scan": cmd_xi_scan,
                "fluct-fit": cmd_fluct_fit}[args.command]

@@ -92,8 +92,8 @@ def xi_scan(alphas, n_grid, params: GibbsParams, env_seeds, event: str = "endpoi
 
     def masses(paths, hv, n) -> list[float]:
         extent = np.abs(paths.endpoints).max(axis=1) if event == "endpoint" else running_max_norm(paths)
-        return [gibbs_expect(None, paths, params.beta, (extent <= float(n) ** alpha).astype(float),
-                             hamiltonian_values=hv).value for alpha in alphas]
+        return [gibbs_expect(params.beta, hv, (extent <= float(n) ** alpha).astype(float)).value
+                for alpha in alphas]
 
     qa = quenched_average(env_seeds, lambda s: replica_over_n(
         s, n_values, params, masses, kernel, d=d, backend=backend, h=h, L=L), threads=threads)
@@ -135,8 +135,7 @@ def fluctuation_fit(n_grid, params: GibbsParams, env_seeds,
         raise ValueError("d > 1 requires the exact backend")
 
     def spread(paths, hv, n) -> float:
-        return gibbs_expect(None, paths, params.beta, running_max_norm(paths),
-                            hamiltonian_values=hv).value
+        return gibbs_expect(params.beta, hv, running_max_norm(paths)).value
 
     values = quenched_average(env_seeds, lambda s: replica_over_n(
         s, n_values, params, spread, kernel, d=d, backend=backend, h=h, L=L),

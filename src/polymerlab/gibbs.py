@@ -12,9 +12,11 @@ reported and a degeneracy warning is emitted when it falls below 1% of
 the ensemble size or below 2.  :func:`quenched_average` takes every
 environment average: a replica mean with a cross-replica standard error.
 
-:func:`replica_over_n` builds every quenched estimator's replica (paths,
-field, H) but that of ``verify._tilted_log_mass``, which queries a free and a
-tilted ensemble together on one field and keeps the signature tests pin.
+The estimators take H, never an environment; :func:`hamiltonian` is the one
+map from a field and paths to H.  :func:`replica_over_n` builds every
+quenched estimator's replica (paths, field, H) but that of
+``verify._tilted_log_mass``, which queries a free and a tilted ensemble
+together on one field and keeps the signature tests pin.
 """
 
 from __future__ import annotations
@@ -43,18 +45,16 @@ class ReplicaError(RuntimeError):
 
 @dataclass(frozen=True)
 class GibbsParams:
-    """Inverse temperature and ensemble sizes for one estimation cell."""
+    """Inverse temperature and paths per replica; n and the replicas are the caller's."""
 
     beta: float
-    n: int
     M: int
-    R: int
 
     def __post_init__(self):
         if self.beta < 0 or not np.isfinite(self.beta):
             raise ValueError("beta must be a finite real >= 0")
-        if self.n < 1 or self.M < 1 or self.R < 1:
-            raise ValueError("n, M and R must all be >= 1")
+        if self.M < 1:
+            raise ValueError("M must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,8 @@ def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float]:
     return w_bar, ess
 
 
-def log_partition(env: EnvironmentHandle, ensemble: PathEnsemble, beta: float,
-                  hamiltonian_values: np.ndarray | None = None) -> GibbsEstimate:
-    """Estimate of log Z_n = log E[exp(beta H)] over the path ensemble.
-
-    Without ``hamiltonian_values`` the ensemble is queried through
-    :func:`hamiltonian`, so on a grid handle every path must stay in
-    [-L, L] or ``GridDomainError`` is raised.
-    """
-    h = hamiltonian(env, ensemble) if hamiltonian_values is None else hamiltonian_values
+def log_partition(beta: float, h: np.ndarray) -> GibbsEstimate:
+    """Estimate of log Z_n = log E[exp(beta H)] from the paths' Hamiltonians ``h``."""
     log_w = beta * h
     m = log_w.size
     w_bar, ess = _normalized_log_weights(log_w)
@@ -151,21 +144,16 @@ def log_partition(env: EnvironmentHandle, ensemble: PathEnsemble, beta: float,
     return GibbsEstimate(value=value, stderr=stderr, M=m, ess=ess)
 
 
-def gibbs_expect(env: EnvironmentHandle, ensemble: PathEnsemble, beta: float, f,
-                 hamiltonian_values: np.ndarray | None = None) -> GibbsEstimate:
+def gibbs_expect(beta: float, h: np.ndarray, f) -> GibbsEstimate:
     """Self-normalized estimate of the Gibbs expectation of a path functional.
 
-    ``f`` maps the (M, n, d) position array to an (M,) value array (or is
-    already such an array).  Indicator-valued functionals are clipped to
-    [0, 1] against floating-point drift.  Without ``hamiltonian_values``
-    the ensemble is queried through :func:`hamiltonian`, so on a grid
-    handle every path must stay in [-L, L] or ``GridDomainError`` is
-    raised.
+    ``f`` holds the functional's value on each path, shaped like the
+    Hamiltonians ``h``.  Indicator-valued functionals are clipped to [0, 1]
+    against floating-point drift.
     """
-    h = hamiltonian(env, ensemble) if hamiltonian_values is None else hamiltonian_values
-    f_vals = np.asarray(f(ensemble.positions) if callable(f) else f, dtype=float)
+    f_vals = np.asarray(f, dtype=float)
     if f_vals.shape != h.shape:
-        raise ValueError(f"functional returned shape {f_vals.shape}, expected {h.shape}")
+        raise ValueError(f"functional has shape {f_vals.shape}, expected {h.shape}")
     w_bar, ess = _normalized_log_weights(beta * h)
     value = float(w_bar @ f_vals)
     resid = f_vals - value

@@ -30,6 +30,8 @@ _DOMAIN_ORACLE = 3
 _DOMAIN_PROBE_OUTER = 4
 _DOMAIN_PROBE_INNER_HI = 5
 _DOMAIN_PROBE_INNER_LO = 6
+MEAN_CONTROL_MIN_ALPHA = 0.5        # suite hypotheses, also checked before any suite runs:
+CONCENTRATION_MIN_R = 200           # mean control needs alpha > 1/2, concentration R >= 200
 
 # Resolution attributed to the quadrature oracle (its node-doubling
 # self-consistency is held to 1e-8 relative, i.e. four of these).
@@ -252,7 +254,7 @@ def _tilted_report(name: str, bound: float, env_seeds, threads: int, **mass_args
                        notes=f"smoothed_replicas={smoothed}" if smoothed else "")
 
 
-def girsanov_identity_test(params: GibbsParams, lam: float, env_seeds,
+def girsanov_identity_test(n: int, lam: float, params: GibbsParams, env_seeds,
                            kernel: KernelSpec = KernelSpec(),
                            h: float | None = None, L: float | None = None,
                            threads: int = 1) -> BoundCheckReport:
@@ -263,16 +265,15 @@ def girsanov_identity_test(params: GibbsParams, lam: float, env_seeds,
     (lattice shifts preserve the synthesized field's law); otherwise it
     holds up to a discretization remainder.
     """
-    n, beta = params.n, params.beta
     L_eff = L if L is not None else suggested_halfwidth(n, drift=n * abs(lam))
 
     def log_ratio(paths, hv, n) -> float:
         log_m = lam * paths.endpoints[:, 0] - 0.5 * n * lam**2
-        return float(logsumexp(beta * hv + log_m) - logsumexp(beta * hv))
+        return float(logsumexp(params.beta * hv + log_m) - logsumexp(params.beta * hv))
 
     qa = quenched_average(env_seeds, lambda s: replica_over_n(
         s, [n], params, log_ratio, kernel, h=h, L=L_eff), threads=threads)
-    return make_report(f"girsanov_identity(n={n},beta={beta:g},lambda={lam:g})",
+    return make_report(f"girsanov_identity(n={n},beta={params.beta:g},lambda={lam:g})",
                        qa.mean[0], qa.stderr[0], lower=0.0, upper=0.0)
 
 
@@ -281,7 +282,7 @@ def mean_control_test(alpha: float, n_grid, params: GibbsParams, env_seeds,
                       h: float | None = None, L: float | None = None,
                       threads: int = 1) -> list[BoundCheckReport]:
     """Quenched mean of log <1_{S_n >= n^alpha}> against -n^(2 alpha - 1)/2 (d=1)."""
-    if alpha <= 0.5:
+    if alpha <= MEAN_CONTROL_MIN_ALPHA:
         raise ValueError(f"alpha must exceed 1/2, got {alpha}")
     reports = []
     for n in n_grid:
@@ -364,8 +365,8 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
     if nu <= 0.5:
         raise ValueError(f"nu must exceed 1/2, got {nu}")
     seeds = list(env_seeds)
-    if len(seeds) < 200:
-        raise ValueError(f"concentration scan needs >= 200 replicas per n, got {len(seeds)}")
+    if len(seeds) < CONCENTRATION_MIN_R:
+        raise ValueError(f"concentration scan needs >= {CONCENTRATION_MIN_R} replicas per n, got {len(seeds)}")
     if functional not in ("logZ", "logW_event"):
         raise ValueError(f"unknown functional {functional!r}")
 

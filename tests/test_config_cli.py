@@ -3,12 +3,14 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polymerlab import cli
 from polymerlab.cli import main
 from polymerlab.config import ConfigError, DEFAULT_CONFIG, load_config
 from polymerlab.gibbs import GibbsParams
+from polymerlab.kernels import gamma_eval
 from polymerlab.verify import make_report, martingale_increment_probe
 
 
@@ -328,7 +330,7 @@ def test_verify_increment_rows_are_the_probe_reports(tmp_path):
     path = write_config(tmp_path, M=50)
     assert main(["verify", "increment", "--config", path, "--out", str(out)]) in (0, 1)
     cfg = load_config(path)
-    params = GibbsParams(beta=cfg.beta, n=4, M=min(cfg.M, 2000), R=cfg.R)
+    params = GibbsParams(beta=cfg.beta, M=min(cfg.M, 2000))
     expected = []
     for i in range(1, 5):
         r = martingale_increment_probe(4, 4, i, params, cfg.seed, kernel=cfg.kernel,
@@ -339,3 +341,76 @@ def test_verify_increment_rows_are_the_probe_reports(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == list(cli.REPORT_CSV_HEADER) and rows[1:] == expected
     assert json.loads((out / "verify_summary.json").read_text())["increment"]["checks"] == 4
+
+
+D2_EXACT = {"d": 2, "kernel": {"kind": "product-exponential"}, "backend": {"kind": "exact"}}
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    (["verify", "girsanov"], D2_EXACT, 2),
+    (["env-check"], {"backend": {"L": 0.5}}, 3),
+])
+def test_failed_command_removes_only_the_empty_directories_it_made(tmp_path, capsys, command,
+                                                                   overrides, code):
+    cfg = write_config(tmp_path, **overrides)
+    made = tmp_path / "a" / "b" / "out"
+    assert main([*command, "--config", cfg, "--out", str(made)]) == code
+    assert not (tmp_path / "a").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main([*command, "--config", cfg, "--out", str(existing)]) == code
+    assert existing.is_dir()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("polymerlab: ") for line in err)
+
+
+def test_out_that_cannot_be_made_exits_two_with_one_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "sub"):
+        assert main(["env-check", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("polymerlab: error: ") and str(out) in err[0]
+    assert blocker.read_text() == "keep"
+
+
+def test_bad_threads_variable_gets_the_error_prefix(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("POLYMERLAB_THREADS", "soup")
+    assert main(["env-check", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "polymerlab: error: POLYMERLAB_THREADS must be an integer"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, overrides, field, suite", [
+    (["verify", "all"], {"R": 100, "M": 100, "n_grid": [4, 9]}, "R", "concentration"),
+    (["verify", "all"], {"alphas": [0.4, 0.8], "M": 50, "R": 4}, "alphas", "meancontrol"),
+    (["verify", "meancontrol"], {"alphas": [0.6, 0.4]}, "alphas", "meancontrol"),
+])
+def test_suite_preconditions_fail_before_any_suite_runs(tmp_path, capsys, command, overrides,
+                                                        field, suite):
+    out = tmp_path / "out"
+    assert main([*command, "--config", write_config(tmp_path, **overrides), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polymerlab: error: ")
+    assert field in err[0] and suite in err[0]
+    assert not list(tmp_path.rglob("*.csv")) and not out.exists()
+
+
+def test_env_check_on_the_exact_backend(tmp_path):
+    out, path = tmp_path / "exact", write_config(tmp_path, **D2_EXACT)
+    assert main(["env-check", "--config", path, "--out", str(out)]) == 0
+    with open(out / "env_check.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    kernel = load_config(path).kernel
+
+    def point(tag):
+        k, x = tag.split(";x=")
+        return int(k.removeprefix("k=")), np.array([float(c) for c in x.split(";")])
+
+    for row in rows:
+        (ka, xa), (kb, xb) = point(row["position_a"]), point(row["position_b"])
+        target = gamma_eval(kernel, xa - xb) if ka == kb else 0.0
+        assert float(row["target_cov"]) == target
+        assert abs(float(row["z"])) < 4

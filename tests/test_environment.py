@@ -192,3 +192,23 @@ def test_signed_zero_is_one_exact_point():
     second = two_calls.sample_slice_at(1, [-0.0])
     assert first[0] == second[0] == both[0]
     assert len(two_calls._slices[1].points) == 1
+
+
+PRODUCT = KernelSpec(kind="product-exponential")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: EnvironmentHandle(0, UNIT, backend="fft"), "unknown backend"),
+    (lambda: EnvironmentHandle(0, UNIT, d=0), "dimension d"),
+    (lambda: EnvironmentHandle(0, PRODUCT, d=2, backend="grid", L=2.0), "d=1 only"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="grid"), "requires a half-width"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="grid", h=0.0, L=2.0), "spacing h"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="grid", h=-0.1, L=2.0), "spacing h"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="grid", L=-1.0), "half-width L"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="exact").build_grid_slice(1), "grid backend"),
+    (lambda: EnvironmentHandle(0, PRODUCT, d=2, backend="exact").sample_slice_at(1, [[0.0, 0.0, 0.0]]),
+     "dimension 3"),
+])
+def test_handle_rejects_invalid_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

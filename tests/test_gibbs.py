@@ -79,25 +79,25 @@ def test_replica_hamiltonian_beta_zero_builds_no_field():
 
 def test_log_partition_closed_forms():
     paths = sample_paths(1, 2, 1, 1)
-    zero_beta = log_partition(ZeroEnv(), paths, 0.0)
+    zero_beta = log_partition(0.0, hamiltonian(ZeroEnv(), paths))
     assert zero_beta.value == 0.0 and zero_beta.stderr == 0.0 and zero_beta.ess == 2.0
 
-    single = log_partition(None, sample_paths(1, 1, 1, 1), 2.0, hamiltonian_values=np.array([0.3]))
+    single = log_partition(2.0, np.array([0.3]))
     assert single.value == pytest.approx(0.6)
     assert single.stderr == 0.0
 
-    pair = log_partition(None, paths, 1.0, hamiltonian_values=np.array([0.0, math.log(2.0)]))
+    pair = log_partition(1.0, np.array([0.0, math.log(2.0)]))
     assert pair.value == pytest.approx(math.log(1.5), abs=1e-12)
 
 
 def test_gibbs_expect_self_normalization_and_beta_zero():
     env = EnvironmentHandle(3, UNIT, backend="grid", h=0.1, L=10.0)
     paths = sample_paths(3, 500, 4, 1)
-    ones = gibbs_expect(env, paths, 0.7, np.ones(500))
+    ones = gibbs_expect(0.7, hamiltonian(env, paths), np.ones(500))
     assert ones.value == 1.0 and ones.stderr <= 1e-12
 
     f_vals = (paths.endpoints[:, 0] > 0.3).astype(float)
-    flat = gibbs_expect(ZeroEnv(), paths, 0.0, f_vals)
+    flat = gibbs_expect(0.0, hamiltonian(ZeroEnv(), paths), f_vals)
     assert flat.value == pytest.approx(f_vals.mean())
     assert 1.0 <= flat.ess <= 500.0
 
@@ -110,7 +110,7 @@ def test_gibbs_expect_indicator_quadrature_oracle():
     env = EnvironmentHandle(90, UNIT, backend="grid", h=1.0, L=L)
     beta = 0.7
     paths = sample_paths(90, 40_000, 1, 1)
-    est = gibbs_expect(env, paths, beta, (paths.positions[:, 0, 0] > 0).astype(float))
+    est = gibbs_expect(beta, hamiltonian(env, paths), (paths.positions[:, 0, 0] > 0).astype(float))
 
     xs = np.linspace(-L, L, 360_001)
     field = env.build_grid_slice(1)[env.snap(xs[:, None])]
@@ -125,7 +125,7 @@ def test_gibbs_expect_raises_when_paths_leave_the_grid():
     env = EnvironmentHandle(90, UNIT, backend="grid", h=1.0, L=1.0)
     paths = sample_paths(90, 40_000, 1, 1)
     with pytest.raises(GridDomainError, match="enlarge L"):
-        gibbs_expect(env, paths, 0.7, (paths.positions[:, 0, 0] > 0).astype(float))
+        gibbs_expect(0.7, hamiltonian(env, paths), (paths.positions[:, 0, 0] > 0).astype(float))
 
 
 def test_gibbs_expect_monotone_for_nested_events():
@@ -134,8 +134,8 @@ def test_gibbs_expect_monotone_for_nested_events():
     h = hamiltonian(env, paths)
     inner = (np.abs(paths.endpoints[:, 0]) <= 1.0).astype(float)
     outer = (np.abs(paths.endpoints[:, 0]) <= 2.0).astype(float)
-    a = gibbs_expect(env, paths, 0.5, inner, hamiltonian_values=h)
-    b = gibbs_expect(env, paths, 0.5, outer, hamiltonian_values=h)
+    a = gibbs_expect(0.5, h, inner)
+    b = gibbs_expect(0.5, h, outer)
     assert a.value <= b.value
     assert 0.0 <= a.value <= 1.0
 
@@ -144,17 +144,16 @@ def test_log_partition_constant_shift_invariance():
     env = EnvironmentHandle(33, UNIT, backend="grid", h=0.1, L=12.0)
     paths = sample_paths(33, 800, 5, 1)
     beta, c = 0.6, 1.7
-    base = log_partition(env, paths, beta)
-    shifted = log_partition(ShiftedEnv(env, c), paths, beta)
+    base = log_partition(beta, hamiltonian(env, paths))
+    shifted = log_partition(beta, hamiltonian(ShiftedEnv(env, c), paths))
     assert shifted.value == pytest.approx(base.value + beta * c * 5, abs=1e-9)
 
 
 def test_weight_degeneracy_warning():
-    paths = sample_paths(2, 50, 1, 1)
     h = np.zeros(50)
     h[0] = 60.0
     with pytest.warns(WeightDegeneracyWarning):
-        est = log_partition(None, paths, 1.0, hamiltonian_values=h)
+        est = log_partition(1.0, h)
     assert est.ess == pytest.approx(1.0, abs=1e-6)
 
 
@@ -164,7 +163,7 @@ def test_quenched_average_trivial_cases():
 
     def log_one(seed):
         paths = sample_paths(seed, 64, 3, 1)
-        return math.log(gibbs_expect(ZeroEnv(), paths, 0.0, np.ones(64)).value)
+        return math.log(gibbs_expect(0.0, hamiltonian(ZeroEnv(), paths), np.ones(64)).value)
 
     flat = quenched_average(range(4), log_one)
     assert flat.mean == 0.0 and flat.stderr == 0.0
@@ -189,7 +188,7 @@ def test_annealed_upper_bound_on_quenched_log_partition():
     def log_z(seed):
         env = EnvironmentHandle(seed, UNIT, backend="grid", h=0.1, L=40.0)
         paths = sample_paths(seed, 400, n, 1)
-        return log_partition(env, paths, beta).value
+        return log_partition(beta, hamiltonian(env, paths)).value
 
     qa = quenched_average(range(1000, 1200), log_z)
     assert qa.mean <= 0.5 * beta**2 * n + 4 * qa.stderr
@@ -222,4 +221,15 @@ def test_gibbs_estimate_invariants():
     with pytest.raises(ValueError):
         GibbsEstimate(value=0.0, stderr=0.0, M=10, ess=11.0)
     with pytest.raises(ValueError):
-        GibbsParams(beta=-0.1, n=4, M=10, R=2)
+        GibbsParams(beta=-0.1, M=10)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gibbs_expect(0.5, np.zeros(4), np.ones(3)), "shape"),
+    (lambda: gibbs_expect(0.5, np.zeros(4), np.ones((4, 1))), "shape"),
+    (lambda: GibbsParams(beta=0.5, M=0), "M must"),
+    (lambda: GibbsParams(beta=float("nan"), M=10), "beta"),
+])
+def test_estimator_inputs_are_checked(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

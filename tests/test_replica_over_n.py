@@ -33,8 +33,7 @@ def reference_cell_masses(seed, n, alphas, params, event, kernel, d, backend, h,
         extent = running_max_norm(paths)
     out = np.empty(len(alphas))
     for a_idx, alpha in enumerate(alphas):
-        est = gibbs_expect(None, paths, params.beta, (extent <= float(n) ** alpha).astype(float),
-                           hamiltonian_values=hv)
+        est = gibbs_expect(params.beta, hv, (extent <= float(n) ** alpha).astype(float))
         out[a_idx] = est.value
     return out
 
@@ -66,8 +65,7 @@ def reference_fluctuation_fit(n_grid, params, env_seeds, kernel=KernelSpec(), d=
             paths = sample_paths(seed, params.M, n, d)
             hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend,
                                      h=h, L=L_eff)
-            out[n_idx] = gibbs_expect(None, paths, params.beta, running_max_norm(paths),
-                                      hamiltonian_values=hv).value
+            out[n_idx] = gibbs_expect(params.beta, hv, running_max_norm(paths)).value
         return out
 
     values = quenched_average(seeds, one, threads=threads).values
@@ -121,9 +119,9 @@ def reference_concentration_scan(params, nu, n_grid, env_seeds, functional="logZ
     return rows
 
 
-def reference_girsanov_identity_test(params, lam, env_seeds, kernel=KernelSpec(), h=None, L=None,
-                                     threads=1):
-    n, beta = params.n, params.beta
+def reference_girsanov_identity_test(n, lam, params, env_seeds, kernel=KernelSpec(), h=None,
+                                     L=None, threads=1):
+    beta = params.beta
     L_eff = L if L is not None else suggested_halfwidth(n, drift=n * abs(lam))
 
     def one(seed):
@@ -138,7 +136,7 @@ def reference_girsanov_identity_test(params, lam, env_seeds, kernel=KernelSpec()
 
 
 def test_replica_over_n_joins_reducer_values_in_n_order():
-    params = GibbsParams(beta=0.5, n=9, M=30, R=2)
+    params = GibbsParams(beta=0.5, M=30)
     seen = []
 
     def reduce(paths, hv, n):
@@ -155,14 +153,14 @@ def test_replica_over_n_joins_reducer_values_in_n_order():
 @pytest.mark.parametrize("event", ["endpoint", "running_max"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_xi_scan_matches_per_n_loop_on_the_grid(event, threads):
-    params = GibbsParams(beta=0.7, n=16, M=60, R=5)
+    params = GibbsParams(beta=0.7, M=60)
     args = ([0.8, 0.6, 0.7], [4, 9, 16], params, range(10, 15))
     kw = dict(event=event, kernel=KernelSpec(lam=0.8), threads=threads)
     assert xi_scan(*args, **kw) == reference_xi_scan(*args, **kw)
 
 
 def test_xi_scan_matches_per_n_loop_in_d2_on_the_exact_backend():
-    params = GibbsParams(beta=0.5, n=4, M=25, R=3)
+    params = GibbsParams(beta=0.5, M=25)
     args = ([0.6, 0.9], [2, 4], params, range(3))
     kw = dict(event="running_max", kernel=PRODUCT, d=2, backend="exact")
     assert xi_scan(*args, **kw) == reference_xi_scan(*args, **kw)
@@ -171,7 +169,7 @@ def test_xi_scan_matches_per_n_loop_in_d2_on_the_exact_backend():
 @pytest.mark.parametrize("d, backend, kernel", [(1, "grid", KernelSpec(lam=1.3)),
                                                 (2, "exact", PRODUCT)])
 def test_fluctuation_fit_matches_per_n_loop(d, backend, kernel):
-    params = GibbsParams(beta=0.6, n=5, M=25, R=4)
+    params = GibbsParams(beta=0.6, M=25)
     args = ([5, 2, 3, 4], params, range(20, 24))
     kw = dict(kernel=kernel, d=d, backend=backend, n_boot=50, boot_seed=3)
     assert fluctuation_fit(*args, **kw) == reference_fluctuation_fit(*args, **kw)
@@ -179,7 +177,7 @@ def test_fluctuation_fit_matches_per_n_loop(d, backend, kernel):
 
 @pytest.mark.parametrize("functional", ["logZ", "logW_event"])
 def test_concentration_scan_matches_per_n_loop(functional):
-    params = GibbsParams(beta=0.8, n=5, M=40, R=200)
+    params = GibbsParams(beta=0.8, M=40)
     args = (params, 0.75, [2, 3, 5], range(300, 500))
     kw = dict(functional=functional, kernel=KernelSpec(lam=1.5), threads=2)
     assert concentration_scan(*args, **kw) == reference_concentration_scan(*args, **kw)
@@ -187,7 +185,7 @@ def test_concentration_scan_matches_per_n_loop(functional):
 
 @pytest.mark.parametrize("L", [None, 12.0])
 def test_girsanov_identity_matches_per_seed_reference(L):
-    params = GibbsParams(beta=0.5, n=6, M=80, R=6)
-    args = (params, 0.2, range(40, 46))
+    params = GibbsParams(beta=0.5, M=80)
+    args = (6, 0.2, params, range(40, 46))
     kw = dict(kernel=KernelSpec(lam=0.9), L=L)
     assert girsanov_identity_test(*args, **kw) == reference_girsanov_identity_test(*args, **kw)

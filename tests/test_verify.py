@@ -143,23 +143,23 @@ def test_log_moment_randomized_cases_inside_bounds():
 
 
 def test_girsanov_zero_drift_is_identically_zero():
-    rep = girsanov_identity_test(GibbsParams(beta=0.5, n=8, M=64, R=4), 0.0, range(4))
+    rep = girsanov_identity_test(8, 0.0, GibbsParams(beta=0.5, M=64), range(4))
     assert rep.estimate == 0.0 and rep.stderr == 0.0 and rep.passed
 
 
 def test_girsanov_free_measure_martingale_mean():
-    rep = girsanov_identity_test(GibbsParams(beta=0.0, n=12, M=4000, R=40), 0.2, range(40))
+    rep = girsanov_identity_test(12, 0.2, GibbsParams(beta=0.0, M=4000), range(40))
     assert rep.passed and abs(rep.estimate) < 0.05
 
 
 def test_girsanov_quenched_identity_small():
-    rep = girsanov_identity_test(GibbsParams(beta=0.5, n=16, M=2000, R=60), 0.1, range(500, 560))
+    rep = girsanov_identity_test(16, 0.1, GibbsParams(beta=0.5, M=2000), range(500, 560))
     assert rep.passed
 
 
 def test_girsanov_domain_error_when_grid_too_small():
     with pytest.raises(ReplicaError):
-        girsanov_identity_test(GibbsParams(beta=0.5, n=16, M=100, R=3), 0.1, range(3), L=1.0)
+        girsanov_identity_test(16, 0.1, GibbsParams(beta=0.5, M=100), range(3), L=1.0)
 
 
 # -- mean control ----------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_girsanov_domain_error_when_grid_too_small():
 
 def test_mean_control_requires_alpha_above_half():
     with pytest.raises(ValueError):
-        mean_control_test(0.4, [4], GibbsParams(beta=0.5, n=4, M=10, R=2), range(2))
+        mean_control_test(0.4, [4], GibbsParams(beta=0.5, M=10), range(2))
 
 
 def test_mean_control_free_measure_analytic_bound():
@@ -181,7 +181,7 @@ def test_mean_control_free_measure_analytic_bound():
 
 
 def test_mean_control_small_run_passes():
-    reports = mean_control_test(0.8, [4, 9], GibbsParams(beta=0.5, n=9, M=500, R=40), range(40))
+    reports = mean_control_test(0.8, [4, 9], GibbsParams(beta=0.5, M=500), range(40))
     assert len(reports) == 2
     for rep, n in zip(reports, [4, 9]):
         assert rep.upper_bound == pytest.approx(-0.5 * n ** 0.6)
@@ -199,7 +199,7 @@ def test_tilted_log_mass_smoothing_on_zero_hits():
 
 
 def test_ball_bound_scaling_of_emitted_bounds():
-    params = GibbsParams(beta=0.5, n=9, M=400, R=20)
+    params = GibbsParams(beta=0.5, M=400)
     r2 = ball_bound_test(0.75, 9, 9, (2,), params, range(20))
     r4 = ball_bound_test(0.75, 9, 9, (4,), params, range(20, 40))
     assert r2.upper_bound == -0.5 * 3.0                 # n^{2a-1} = sqrt(9)
@@ -209,14 +209,14 @@ def test_ball_bound_scaling_of_emitted_bounds():
 
 def test_ball_bound_two_dimensional_bound_value():
     kernel = KernelSpec(kind="product-exponential")
-    rep = ball_bound_test(0.75, 9, 9, (2, 2), GibbsParams(beta=0.3, n=9, M=150, R=12),
+    rep = ball_bound_test(0.75, 9, 9, (2, 2), GibbsParams(beta=0.3, M=150),
                           range(12), kernel=kernel)
     assert rep.upper_bound == pytest.approx(-3.0)       # -(sqrt(9)/2) * 2
     assert rep.passed
 
 
 def test_ball_bound_validation():
-    params = GibbsParams(beta=0.5, n=4, M=10, R=2)
+    params = GibbsParams(beta=0.5, M=10)
     with pytest.raises(ValueError):
         ball_bound_test(0.8, 4, 4, (0,), params, range(2))
     with pytest.raises(ValueError):
@@ -233,13 +233,13 @@ def test_concentration_bound_reference_value():
 
 
 def test_concentration_free_measure_logZ_is_zero():
-    rows = concentration_scan(GibbsParams(beta=0.0, n=8, M=50, R=200), 0.75, [4, 8], range(200))
+    rows = concentration_scan(GibbsParams(beta=0.0, M=50), 0.75, [4, 8], range(200))
     for row in rows:
         assert row.std == 0.0 and row.exceedance_freq == 0.0
 
 
 def test_concentration_preconditions():
-    params = GibbsParams(beta=0.5, n=8, M=50, R=100)
+    params = GibbsParams(beta=0.5, M=50)
     with pytest.raises(ValueError):
         concentration_scan(params, 0.4, [8], range(200))
     with pytest.raises(ValueError):
@@ -249,7 +249,7 @@ def test_concentration_preconditions():
 
 
 def test_concentration_logw_event_functional():
-    rows = concentration_scan(GibbsParams(beta=0.5, n=8, M=400, R=200), 0.75, [8],
+    rows = concentration_scan(GibbsParams(beta=0.5, M=400), 0.75, [8],
                               range(4000, 4200), functional="logW_event")
     assert len(rows) == 1
     assert rows[0].std > 0.0
@@ -258,13 +258,13 @@ def test_concentration_logw_event_functional():
 
 def test_concentration_logw_event_without_mass_names_the_replica():
     with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\).*no sampled mass"):
-        concentration_scan(GibbsParams(beta=0.5, n=8, M=50, R=200), 0.75, [8], range(200),
+        concentration_scan(GibbsParams(beta=0.5, M=50), 0.75, [8], range(200),
                            functional="logW_event", event_alpha=-5.0)
 
 
 def test_replica_fan_outs_name_the_failed_replica():
     # L = 1 is far too narrow a grid for n = 9 walks
-    params = GibbsParams(beta=0.5, n=9, M=50, R=200)
+    params = GibbsParams(beta=0.5, M=50)
     for run in (lambda: mean_control_test(0.8, [9], params, range(2), L=1.0),
                 lambda: ball_bound_test(0.75, 9, 9, [2], params, range(2), L=1.0),
                 lambda: concentration_scan(params, 0.75, [9], range(200), L=1.0)):
@@ -276,23 +276,23 @@ def test_replica_fan_outs_name_the_failed_replica():
 
 
 def test_probe_vanishing_beta_control():
-    res = martingale_increment_probe(4, 4, 2, GibbsParams(beta=1e-3, n=4, M=800, R=2), seed=21,
+    res = martingale_increment_probe(4, 4, 2, GibbsParams(beta=1e-3, M=800), seed=21,
                                      n_outer=400, n_inner=400)
     assert abs(res.report.estimate - 1.0) < 0.01
 
 
 def test_probe_measurability_gives_exact_zero_increment():
     # W truncated to slices <= j with i > j: revealing slice i changes nothing
-    res = martingale_increment_probe(4, 2, 3, GibbsParams(beta=0.5, n=4, M=300, R=2), seed=3,
+    res = martingale_increment_probe(4, 2, 3, GibbsParams(beta=0.5, M=300), seed=3,
                                      n_outer=100, n_inner=100, horizon=2)
     assert res.report.estimate == 1.0 and res.report.stderr == 0.0
-    res0 = martingale_increment_probe(4, 2, 3, GibbsParams(beta=0.0, n=4, M=300, R=2), seed=3,
+    res0 = martingale_increment_probe(4, 2, 3, GibbsParams(beta=0.0, M=300), seed=3,
                                       n_outer=100, n_inner=100)
     assert res0.report.estimate == 1.0
 
 
 def test_probe_bound_check_and_determinism():
-    params = GibbsParams(beta=0.5, n=4, M=500, R=2)
+    params = GibbsParams(beta=0.5, M=500)
     res1 = martingale_increment_probe(4, 4, 2, params, seed=9, n_outer=300, n_inner=300)
     res2 = martingale_increment_probe(4, 4, 2, params, seed=9, n_outer=300, n_inner=300)
     assert res1 == res2
@@ -301,9 +301,9 @@ def test_probe_bound_check_and_determinism():
 
 
 def test_probe_validation():
-    params = GibbsParams(beta=0.5, n=4, M=50, R=2)
+    params = GibbsParams(beta=0.5, M=50)
     with pytest.raises(ValueError):
-        martingale_increment_probe(8, 4, 2, GibbsParams(beta=0.5, n=8, M=50, R=2), seed=0)
+        martingale_increment_probe(8, 4, 2, GibbsParams(beta=0.5, M=50), seed=0)
     with pytest.raises(ValueError):
         martingale_increment_probe(4, 5, 2, params, seed=0)
     with pytest.raises(ValueError):
@@ -372,7 +372,7 @@ def test_batched_increment_probe_matches_reference(monkeypatch, chunk):
     # 300 draws are not a multiple of any batch size used here
     if chunk is not None:
         monkeypatch.setattr("polymerlab.verify.MC_CHUNK", chunk)
-    params = GibbsParams(beta=0.5, n=3, M=200, R=2)
+    params = GibbsParams(beta=0.5, M=200)
     for i in (1, 2, 3):
         got = martingale_increment_probe(3, 3, i, params, seed=9, n_outer=300, n_inner=300)
         assert got == _reference_probe(3, 3, i, params, seed=9, n_outer=300, n_inner=300)
