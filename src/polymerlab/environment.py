@@ -74,19 +74,38 @@ class SpectralClippingError(RuntimeError):
     """Circulant embedding needed to clip more spectral mass than allowed."""
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Seed source that hands Philox its key as is.
+
+    ``Philox(key=...)`` would first build a ``SeedSequence`` from fresh OS
+    entropy and then discard it; Philox asks a seed source for exactly two
+    64-bit words and makes them its key, so this gives the same key, a zero
+    counter and an empty buffer without touching the entropy pool.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def tagged_stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Independent Philox stream for (seed, domain, index).
 
     The second key word packs ``domain`` into its top 16 bits and ``index``
     into its low 48, so both must fit their fields: ``0 <= domain < 2**16``
     and ``0 <= index < 2**48``, else ``ValueError`` (an overflowing index
-    would alias another stream).
+    would alias another stream).  The stream is ``Philox(key=...)``'s,
+    state for state; the key reaches Philox through :class:`_PhiloxKey`.
     """
     if not (0 <= domain < 1 << 16 and 0 <= index < 1 << 48):
         raise ValueError(f"stream tag out of range: domain={domain} (need [0, 2**16)), "
                          f"index={index} (need [0, 2**48))")
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((domain << 48) | index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (domain << 48) | index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass
@@ -207,13 +226,18 @@ class EnvironmentHandle:
         otherwise :class:`GridDomainError` is raised, never a clamp to the
         boundary node.  :func:`suggested_halfwidth` gives a covering L.
         """
-        pts = _as_points(positions, d=1)[:, 0]
-        tol = 1e-9 * max(1.0, self.L)
-        if np.any(np.abs(pts) > self.L + tol):
+        return self._nodes(_as_points(positions, d=1)[:, 0])
+
+    def _nodes(self, pts: np.ndarray) -> np.ndarray:
+        """:meth:`snap` of already validated, finite 1-d positions."""
+        bound = self.L + 1e-9 * max(1.0, self.L)
+        if pts.size and (pts.max() > bound or pts.min() < -bound):
             worst = pts[np.argmax(np.abs(pts))]
             raise GridDomainError(
                 f"position {worst:g} outside grid domain [-{self.L:g}, {self.L:g}]; enlarge L")
-        return np.clip(np.rint((pts + self.L) / self.h).astype(np.intp), 0, self.n_nodes - 1)
+        idx = np.rint((pts + self.L) / self.h).astype(np.intp)
+        np.maximum(idx, 0, out=idx)
+        return np.minimum(idx, self.n_nodes - 1, out=idx)
 
     def snapped_positions(self, positions) -> np.ndarray:
         """Grid coordinates the given positions are rounded to."""
@@ -300,7 +324,7 @@ class EnvironmentHandle:
         if pts.shape[1] != self.d:
             raise ValueError(f"positions have dimension {pts.shape[1]}, handle has d={self.d}")
         if self.backend == "grid":
-            return self.build_grid_slice(k)[self.snap(pts)]
+            return self.build_grid_slice(k)[self._nodes(pts[:, 0])]
         return self._exact_sample(k, pts)
 
 

@@ -25,11 +25,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .environment import EnvironmentHandle, suggested_halfwidth
 from .kernels import KernelSpec
 from .parallel import parallel_map
+from .quadrature import _logsumexp
 from .walk import PathEnsemble, sample_paths
 
 ESS_WARN_FRACTION = 0.01
@@ -115,8 +115,9 @@ def replica_over_n(seed: int, n_values, params: GibbsParams, reduce, kernel: Ker
     return np.hstack(parts)
 
 
-def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float]:
-    log_total = logsumexp(log_w)
+def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Normalized weights, their ESS and log(sum(exp(log_w)))."""
+    log_total = _logsumexp(log_w)
     if not np.isfinite(log_total):
         raise ValueError("all importance weights vanished")
     w_bar = np.exp(log_w - log_total)
@@ -127,15 +128,15 @@ def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float]:
         warnings.warn(
             f"effective sample size {ess:.1f} below {threshold:g} for M={log_w.size}",
             WeightDegeneracyWarning, stacklevel=3)
-    return w_bar, ess
+    return w_bar, ess, log_total
 
 
 def log_partition(beta: float, h: np.ndarray) -> GibbsEstimate:
     """Estimate of log Z_n = log E[exp(beta H)] from the paths' Hamiltonians ``h``."""
     log_w = beta * h
     m = log_w.size
-    w_bar, ess = _normalized_log_weights(log_w)
-    value = float(logsumexp(log_w) - np.log(m))
+    _, ess, log_total = _normalized_log_weights(log_w)
+    value = float(log_total - np.log(m))
     if m == 1:
         return GibbsEstimate(value=value, stderr=0.0, M=m, ess=ess)
     # delta method on u = w / max(w): Var(log mean w) ~ Var(u) / (M mean(u)^2)
@@ -154,12 +155,12 @@ def gibbs_expect(beta: float, h: np.ndarray, f) -> GibbsEstimate:
     f_vals = np.asarray(f, dtype=float)
     if f_vals.shape != h.shape:
         raise ValueError(f"functional has shape {f_vals.shape}, expected {h.shape}")
-    w_bar, ess = _normalized_log_weights(beta * h)
+    w_bar, ess, _ = _normalized_log_weights(beta * h)
     value = float(w_bar @ f_vals)
     resid = f_vals - value
     stderr = float(np.sqrt(np.sum((w_bar * resid) ** 2)))
     if np.all((f_vals == 0.0) | (f_vals == 1.0)):
-        value = float(np.clip(value, 0.0, 1.0))
+        value = min(max(value, 0.0), 1.0)
     return GibbsEstimate(value=value, stderr=stderr, M=f_vals.size, ess=ess)
 
 

@@ -10,15 +10,17 @@ Both oracles work in batches of at most ``MC_CHUNK`` nodes or draws, so
 the node matrix, ``z @ chol.T`` and the integrand's temporaries never
 exceed one batch.  The quadrature still keeps its n^m per-node log terms
 (or weights and integrand values) and reduces them once, with the same
-``logsumexp`` or dot product as a one-shot grid, so the result does not
-depend on the batch size; that n^m reduction array is the memory that
+:func:`_logsumexp` or dot product as a one-shot grid, so the result does
+not depend on the batch size; that n^m reduction array is the memory that
 still scales with the grid (about 20 MiB per array at 40^4 nodes).
+:func:`_logsumexp` adds one shifted copy, exponentiated in place, and a
+boolean mask: a tracemalloc peak of 22 MiB over a 40^4 input, where
+``scipy.special.logsumexp`` peaks at 100 MiB.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .environment import _JITTER, CovarianceConditioningError
 
@@ -34,6 +36,36 @@ def _chol(cov: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise CovarianceConditioningError(
             "quadrature covariance is numerically non-positive-definite") from exc
+
+
+def _logsumexp(a, axis: int | None = None):
+    """log(sum(exp(a))) over all of ``a`` or along ``axis``, bit for bit ``scipy.special.logsumexp``.
+
+    For real, non-empty input without weights this repeats scipy 1.17's
+    operations in its order and under its error states: the maximum comes
+    out of the sum and its ties are counted as m, the rest is summed as
+    exp(a - max) and divided by m, and the result is log1p(s) + log(m) + max;
+    where that is not finite, log(sum(exp(a))) stands instead.  Returns a
+    NumPy scalar for ``axis=None`` and an array otherwise, like scipy, but
+    needs no scipy import and no second full exp/sum/log pass.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = a.max(axis=axes, keepdims=True)
+        top = a == a_max
+        m = top.sum(axis=axes, keepdims=True, dtype=float)
+        shifted = a - a_max
+        shifted[top] = -np.inf
+        s = np.exp(shifted, out=shifted).sum(axis=axes, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s) + np.log(m) + a_max
+    finite = np.isfinite(out)
+    if not finite.all():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axes, keepdims=True)))
+    out = out.squeeze(axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def _grid_size(m: int, n_nodes: int) -> int:
@@ -80,7 +112,7 @@ def gauss_hermite_expect(cov: np.ndarray, log_integrand, n_nodes: int = 40) -> f
     terms = np.empty(_grid_size(len(chol), n_nodes))
     for rows, z, log_w in _tensor_batches(len(chol), n_nodes):
         terms[rows] = log_w + log_integrand(z @ chol.T)
-    return float(np.exp(logsumexp(terms)))
+    return float(np.exp(_logsumexp(terms)))
 
 
 def gauss_hermite_mean(cov: np.ndarray, integrand, n_nodes: int = 40) -> float:

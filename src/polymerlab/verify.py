@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
 from .gibbs import GibbsParams, quenched_average, replica_hamiltonian, replica_over_n
 from .kernels import KernelSpec, gamma_matrix
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
-from .quadrature import (MC_CHUNK, _batches, gauss_hermite_expect, gauss_hermite_mean,
-                         monte_carlo_expect, monte_carlo_mean)
+from .quadrature import (MC_CHUNK, _batches, _logsumexp, gauss_hermite_expect,
+                         gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean)
 from .walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_path
 
 _DOMAIN_ORACLE = 3
@@ -167,7 +166,7 @@ def check_expo_ineq(case: ExpoIneqCase, method: str = "quadrature",
     cov, coef, atom_idx, log_mu = _case_geometry(case)
 
     def log_integrand(g):
-        return case.beta * (g @ coef) - case.q * logsumexp(log_mu + case.beta * g[:, atom_idx], axis=1)
+        return case.beta * (g @ coef) - case.q * _logsumexp(log_mu + case.beta * g[:, atom_idx], axis=1)
 
     estimate, stderr = _oracle(method, cov, log_integrand, n_nodes, n_draws, seed, exponential=True)
     half = 0.5 * case.beta**2 * case.sigma2
@@ -212,7 +211,7 @@ def check_log_moment_bounds(mu_atoms, mu_weights, beta: float, kernel: KernelSpe
     shift = 0.5 * beta**2 * case.sigma2
 
     def integrand(g):
-        return logsumexp(log_mu + beta * g[:, atom_idx] - shift, axis=1)
+        return _logsumexp(log_mu + beta * g[:, atom_idx] - shift, axis=1)
 
     estimate, stderr = _oracle(method, cov, integrand, n_nodes, n_draws, seed, exponential=False)
     w = case.mu_weights[case.mu_weights > 0]
@@ -242,7 +241,7 @@ def _tilted_log_mass(seed: int, kernel: KernelSpec, n: int, M: int, beta: float,
         # add-one smoothing: one pseudo-hit out of M+1, a conservative
         # upper bound that keeps one-sided checks valid
         return -math.log(M + 1.0), True
-    value = logsumexp(beta * h1[hits] + log_w[hits]) - logsumexp(beta * h0)
+    value = _logsumexp(beta * h1[hits] + log_w[hits]) - _logsumexp(beta * h0)
     return float(value), False
 
 
@@ -269,7 +268,7 @@ def girsanov_identity_test(n: int, lam: float, params: GibbsParams, env_seeds,
 
     def log_ratio(paths, hv, n) -> float:
         log_m = lam * paths.endpoints[:, 0] - 0.5 * n * lam**2
-        return float(logsumexp(params.beta * hv + log_m) - logsumexp(params.beta * hv))
+        return float(_logsumexp(params.beta * hv + log_m) - _logsumexp(params.beta * hv))
 
     qa = quenched_average(env_seeds, lambda s: replica_over_n(
         s, [n], params, log_ratio, kernel, h=h, L=L_eff), threads=threads)
@@ -375,7 +374,7 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
             hv = hv[np.abs(paths.endpoints).max(axis=1) <= float(n) ** event_alpha]
             if not hv.size:
                 raise ValueError(f"event for logW_event has no sampled mass at n={n}")
-        return float(logsumexp(params.beta * hv) - math.log(params.M))
+        return float(_logsumexp(params.beta * hv) - math.log(params.M))
 
     n_values = list(n_grid)
     qa = quenched_average(seeds, lambda s: replica_over_n(
@@ -396,18 +395,21 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
 # -- martingale increment probe -----------------------------------------------
 
 
-def _draw_slices(template: EnvironmentHandle, idx: np.ndarray, seed: int, domain: int,
-                 count: int, slices: list[int]) -> np.ndarray:
-    """Fresh draws of the given slices gathered onto fixed paths: (count, len(slices), M).
+def _draw_batches(template: EnvironmentHandle, idx: np.ndarray, seed: int, domain: int,
+                  count: int, slices: list[int]):
+    """Fresh draws of the given slices gathered onto fixed paths, batch by batch.
 
-    Draw r takes its normals from ``tagged_stream(seed, domain, r)``, real
-    parts first; ``idx[k - 1]`` holds the paths' grid nodes on slice k.
-    Draws are synthesized in batches of about ``MC_CHUNK`` complex normals.
+    Yields (draw range, (draws, len(slices), M) gathered values) for
+    consecutive ranges covering [0, count), each synthesized from about
+    ``MC_CHUNK`` complex normals.  Draw r takes its normals from
+    ``tagged_stream(seed, domain, r)``, real parts first; ``idx[k - 1]``
+    holds the paths' grid nodes on slice k.
     """
     shape = (len(slices), template.n_circ)
     batches = _batches(count, max(1, MC_CHUNK // (shape[0] * shape[1])))
     size = max(draws.stop - draws.start for draws in batches)
-    out = np.empty((count, len(slices), idx.shape[1]))
+    rows = np.arange(len(slices))[:, None]
+    nodes = idx[np.asarray(slices) - 1]                     # (len(slices), M)
     re, im = np.empty((size, *shape)), np.empty((size, *shape))
     for draws in batches:
         k = draws.stop - draws.start
@@ -415,9 +417,15 @@ def _draw_slices(template: EnvironmentHandle, idx: np.ndarray, seed: int, domain
             rng = tagged_stream(seed, domain, draws.start + b)
             rng.standard_normal(out=re[b])
             rng.standard_normal(out=im[b])
-        fields = template.synthesize(re[:k] + 1j * im[:k])
-        for a, kk in enumerate(slices):
-            out[draws, a] = fields[:, a, idx[kk - 1]]
+        yield draws, template.synthesize(re[:k] + 1j * im[:k])[:, rows, nodes]
+
+
+def _draw_slices(template: EnvironmentHandle, idx: np.ndarray, seed: int, domain: int,
+                 count: int, slices: list[int]) -> np.ndarray:
+    """All of :func:`_draw_batches`' draws: (count, len(slices), M)."""
+    out = np.empty((count, len(slices), idx.shape[1]))
+    for draws, gathered in _draw_batches(template, idx, seed, domain, count, slices):
+        out[draws] = gathered
     return out
 
 
@@ -450,9 +458,9 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
     Draws are synthesized and gathered in batches of about ``MC_CHUNK``
     complex normals, and that matrix product is taken and log-reduced a block of
     about ``MC_CHUNK`` entries at a time, so the (n_outer, 2*n_inner)
-    matrix is never held whole.  Memory still scales with the gathered
-    draws, (count, slices, M) per call, and with the (M, 2*n_inner)
-    inner weights.
+    matrix is never held whole.  The inner redraws are summed over slices
+    batch by batch, so memory scales with the (n_outer, i, M) outer draws
+    and the (2*n_inner, M) inner weights, not with the inner slice count.
     """
     if not (1 <= j <= n and 1 <= i <= n):
         raise ValueError("need 1 <= i, j <= n")
@@ -483,8 +491,11 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
         if not fresh:
             vals = np.log(u.sum(axis=1)) - math.log(params.M)
             return vals, vals
-        fresh_g = _draw_slices(template, idx, seed, domain, 2 * n_inner, fresh).sum(axis=1)  # (2R, M)
-        v = np.exp(beta * fresh_g).T                         # (M, 2R)
+        v = np.empty((2 * n_inner, params.M))               # summed over slices per batch
+        for draws, gathered in _draw_batches(template, idx, seed, domain, 2 * n_inner, fresh):
+            v[draws] = gathered.sum(axis=1)
+        v *= beta
+        v = np.exp(v, out=v).T                               # (M, 2R)
         half, full = np.empty(len(u)), np.empty(len(u))
         for rows in _batches(len(u), max(1, MC_CHUNK // (2 * n_inner))):
             log_w = np.log(u[rows] @ v) - math.log(params.M)    # (rows, 2R)

@@ -173,12 +173,25 @@ def test_tagged_stream_rejects_tags_outside_their_key_fields():
             tagged_stream(7, domain, index)
 
 
+def _assert_same_philox_state(got: dict, want: dict):
+    assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
+    for part in ("counter", "key"):
+        assert got["state"][part].tobytes() == want["state"][part].tobytes()
+    for part in ("bit_generator", "buffer", "buffer_pos", "has_uint32", "uinteger"):
+        assert np.array_equal(got[part], want[part])
+
+
 @pytest.mark.parametrize("seed, domain, index", [(0, 0, 0), (1, 1, 5), (2**64 - 1, 2**16 - 1, 2**48 - 1),
-                                                 (20240817, 6, 3999)])
+                                                 (20240817, 6, 3999), (2**64 - 1, 0, 0),
+                                                 (0, 2**16 - 1, 0), (0, 0, 2**48 - 1)])
 def test_tagged_stream_bytes_for_valid_tags(seed, domain, index):
+    # the stream is Philox(key=...)'s: same state before and after, same first 1000 normals
     key = np.array([seed, (domain << 48) | index], dtype=np.uint64)
-    expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
-    assert tagged_stream(seed, domain, index).standard_normal(8).tobytes() == expected.tobytes()
+    want = np.random.Generator(np.random.Philox(key=key))
+    got = tagged_stream(seed, domain, index)
+    _assert_same_philox_state(got.bit_generator.state, want.bit_generator.state)
+    assert got.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
+    _assert_same_philox_state(got.bit_generator.state, want.bit_generator.state)
 
 
 def test_signed_zero_is_one_exact_point():

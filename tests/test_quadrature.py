@@ -1,15 +1,19 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from polymerlab import quadrature
 from polymerlab.environment import CovarianceConditioningError, tagged_stream
 from polymerlab.kernels import KernelSpec, gamma_matrix
-from polymerlab.quadrature import (MC_CHUNK, _chol, gauss_hermite_expect, gauss_hermite_mean,
-                                   monte_carlo_expect, monte_carlo_mean)
+from polymerlab.quadrature import (MC_CHUNK, _chol, _logsumexp, gauss_hermite_expect,
+                                   gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean)
 from polymerlab.verify import check_expo_ineq, check_log_moment_bounds, random_expo_cases
 
 
@@ -143,3 +147,73 @@ def test_four_atom_oracles_stay_below_256_mib():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 256, peaks
+
+
+# -- the lean log-sum-exp against scipy.special.logsumexp ----------------------
+
+
+def _assert_lean_logsumexp_is_scipy(a, axis=None):
+    """Same type, shape and bytes as scipy's, with no warning raised by the lean one."""
+    want = logsumexp(a, axis=axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a, axis=axis)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, got, want)
+
+
+LSE_SIZES = [*range(1, 65), 127, 128, 129, 255, 256, 257, 1000, 1023, 1024, 1025,
+             4095, 4096, 4097, 5000]
+
+
+@pytest.mark.parametrize("n", LSE_SIZES)
+def test_lean_logsumexp_matches_scipy_on_vectors(n):
+    rng = np.random.default_rng(20240817 + n)
+    for scale in (1e-3, 1.0, 30.0, 700.0):
+        a = rng.normal(scale=scale, size=n)
+        _assert_lean_logsumexp_is_scipy(a)
+        tied = a.copy()
+        tied[rng.integers(0, n, 3)] = a.max()           # ties at the maximum
+        _assert_lean_logsumexp_is_scipy(tied)
+        _assert_lean_logsumexp_is_scipy(np.round(a))     # many ties
+        for special in (np.inf, -np.inf, np.nan):
+            hit = a.copy()
+            hit[rng.integers(0, n)] = special
+            _assert_lean_logsumexp_is_scipy(hit)
+    for fill in (-np.inf, np.inf, np.nan, 3.0, -800.0):
+        _assert_lean_logsumexp_is_scipy(np.full(n, fill))
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 4, 5])
+def test_lean_logsumexp_matches_scipy_along_rows(cols):
+    rng = np.random.default_rng(cols)
+    for rows in (1, 2, 7, 1000, 5000):
+        a = rng.normal(scale=5.0, size=(rows, cols))
+        a[rng.random(a.shape) < 0.05] = -np.inf
+        a[rng.random(a.shape) < 0.01] = np.inf
+        a[0, 0] = np.nan
+        a[-1] = -np.inf                                  # a whole row at -inf
+        _assert_lean_logsumexp_is_scipy(a, axis=1)
+
+
+@pytest.mark.parametrize("x", [2.5, -np.inf, np.inf, np.nan, np.float64(-3.0), np.array(1.25), [0.5]])
+def test_lean_logsumexp_matches_scipy_on_scalars(x):
+    _assert_lean_logsumexp_is_scipy(x)
+
+
+_FINITE_OR_SPECIAL = st.one_of(st.floats(min_value=-1e300, max_value=1e300),
+                               st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=arrays(np.float64, st.integers(1, 300), elements=_FINITE_OR_SPECIAL))
+def test_lean_logsumexp_matches_scipy_on_any_vector(a):
+    _assert_lean_logsumexp_is_scipy(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)),
+                elements=_FINITE_OR_SPECIAL))
+def test_lean_logsumexp_matches_scipy_on_any_rows(a):
+    _assert_lean_logsumexp_is_scipy(a, axis=1)
