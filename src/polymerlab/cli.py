@@ -52,7 +52,7 @@ from .config import ConfigError, RunConfig, load_config
 from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDomainError,
                           SpectralClippingError, covariance_selftest, grid_spacing)
 from .exponent import fluctuation_fit, xi_scan
-from .gibbs import ESTIMATE_CSV_HEADER, GibbsParams, ReplicaError, estimate_csv_row
+from .gibbs import GibbsParams, ReplicaError
 from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckReport,
                      ball_bound_test, check_expo_ineq, check_log_moment_bounds, concentration_scan,
                      girsanov_identity_test, make_report, martingale_increment_probe,
@@ -61,6 +61,7 @@ from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckRepo
 VERIFY_SUITES = ("lemma21", "lemma22", "girsanov", "meancontrol", "ball", "concentration", "increment")
 D1_SUITES = ("girsanov", "meancontrol", "concentration", "increment")
 REPORT_CSV_HEADER = ("name", "estimate", "stderr", "lower_bound", "upper_bound", "margin_sigmas", "pass")
+SPREADS_CSV_HEADER = ("quantity", "n", "beta", "alpha_or_na", "value", "stderr", "ess", "M", "R", "seed")
 
 BALL_ALPHA = 0.75           # makes n^(2*alpha-1) dyadic on the default n values
 BALL_N_VALUES = (9, 16)
@@ -339,10 +340,9 @@ def cmd_fluct_fit(cfg: RunConfig, frame: _Frame) -> int:
         "reference_band": list(fit.reference_band) if fit.reference_band else None,
         "spreads_median": list(fit.spreads_median), "spreads_mean": list(fit.spreads_mean),
     })
-    spread_rows = [estimate_csv_row("runmax_spread_median", n, cfg.beta, None, med, 0.0,
-                                    float("nan"), cfg.M, cfg.R, cfg.seed)
-                   for n, med in zip(fit.n_grid, fit.spreads_median)]
-    frame.write("fluct_fit_spreads.csv", ESTIMATE_CSV_HEADER, spread_rows)
+    frame.write("fluct_fit_spreads.csv", SPREADS_CSV_HEADER,
+                [("runmax_spread_median", n, cfg.beta, "na", med, 0.0, math.nan, cfg.M, cfg.R, cfg.seed)
+                 for n, med in zip(fit.n_grid, fit.spreads_median)])
     frame.summary["xi_hat"] = fit.xi_hat
     return 0
 

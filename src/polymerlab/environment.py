@@ -213,8 +213,10 @@ class EnvironmentHandle:
             if got is not None:
                 return got
             rng = tagged_stream(self.seed, _DOMAIN_SLICE, k)
-            values = self.synthesize(rng.standard_normal(self.n_circ)
-                                     + 1j * rng.standard_normal(self.n_circ))
+            # a contiguous copy: synthesize's strided view would keep the
+            # whole complex ifft buffer alive behind the cached values
+            values = np.ascontiguousarray(self.synthesize(rng.standard_normal(self.n_circ)
+                                                          + 1j * rng.standard_normal(self.n_circ)))
             values.flags.writeable = False
             self._slices[k] = values
             return values

@@ -207,15 +207,3 @@ def quenched_average(env_seeds, estimator, threads: int = 1) -> QuenchedAverage:
     if values.ndim == 1:
         return QuenchedAverage(mean=float(mean[0]), stderr=float(stderr[0]), values=values)
     return QuenchedAverage(mean=mean, stderr=stderr, values=values)
-
-
-# -- CSV row format for estimates (consumed by the CLI and by analyses) --
-
-ESTIMATE_CSV_HEADER = ("quantity", "n", "beta", "alpha_or_na", "value", "stderr", "ess", "M", "R", "seed")
-
-
-def estimate_csv_row(quantity: str, n: int, beta: float, alpha, value: float,
-                     stderr: float, ess: float, M: int, R: int, seed: int) -> tuple:
-    """One row of the tabular estimate schema; alpha may be None for 'na'."""
-    return (quantity, n, repr(float(beta)), "na" if alpha is None else repr(float(alpha)),
-            repr(float(value)), repr(float(stderr)), repr(float(ess)), M, R, seed)

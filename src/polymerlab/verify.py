@@ -420,15 +420,6 @@ def _draw_batches(template: EnvironmentHandle, idx: np.ndarray, seed: int, domai
         yield draws, template.synthesize(re[:k] + 1j * im[:k])[:, rows, nodes]
 
 
-def _draw_slices(template: EnvironmentHandle, idx: np.ndarray, seed: int, domain: int,
-                 count: int, slices: list[int]) -> np.ndarray:
-    """All of :func:`_draw_batches`' draws: (count, len(slices), M)."""
-    out = np.empty((count, len(slices), idx.shape[1]))
-    for draws, gathered in _draw_batches(template, idx, seed, domain, count, slices):
-        out[draws] = gathered
-    return out
-
-
 @dataclass(frozen=True)
 class IncrementProbeResult:
     report: BoundCheckReport
@@ -458,12 +449,15 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
     Draws are synthesized and gathered in batches of about ``MC_CHUNK``
     complex normals, and that matrix product is taken and log-reduced a block of
     about ``MC_CHUNK`` entries at a time, so the (n_outer, 2*n_inner)
-    matrix is never held whole.  The inner redraws are summed over slices
-    batch by batch, so memory scales with the (n_outer, i, M) outer draws
-    and the (2*n_inner, M) inner weights, not with the inner slice count.
+    matrix is never held whole.  Every batch of draws is summed over its
+    slices as it arrives, so memory scales with the two (n_outer, M)
+    conditional sums of the outer draws and the (2*n_inner, M) inner
+    weights, not with i or with the inner slice count.
     """
     if not (1 <= j <= n and 1 <= i <= n):
         raise ValueError("need 1 <= i, j <= n")
+    if n_outer < 2 or n_inner < 1:
+        raise ValueError("need n_outer >= 2 (for a standard error) and n_inner >= 1")
     if n > 6:
         raise ValueError("the nested probe is restricted to n <= 6")
     horizon = n if horizon is None else horizon
@@ -481,12 +475,20 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
         raise ValueError("probe functional has zero sampled mass; enlarge f_radius")
     f_vals = f_vals.astype(float)
 
-    outer = _draw_slices(template, idx, seed, _DOMAIN_PROBE_OUTER, n_outer,
-                         list(range(1, i + 1)))                       # (O, i, M)
+    lo, hi = np.empty((n_outer, params.M)), np.empty((n_outer, params.M))  # slices 1..i-1, 1..i, cut at horizon
+    for draws, gathered in _draw_batches(template, idx, seed, _DOMAIN_PROBE_OUTER, n_outer,
+                                         list(range(1, i + 1))):
+        gathered[:, :min(i - 1, horizon)].sum(axis=1, out=lo[draws])
+        gathered[:, :min(i, horizon)].sum(axis=1, out=hi[draws])
 
-    def side(revealed: int, domain: int) -> tuple[np.ndarray, np.ndarray]:
-        """E[log W | F_revealed] per outer draw, from n_inner and 2*n_inner inner redraws."""
-        u = f_vals[None, :] * np.exp(beta * outer[:, :min(revealed, horizon)].sum(axis=1))  # (O, M)
+    def side(base: np.ndarray, revealed: int, domain: int) -> tuple[np.ndarray, np.ndarray]:
+        """E[log W | F_revealed] per outer draw, from n_inner and 2*n_inner inner redraws.
+
+        ``base``, the outer draws summed over the revealed slices, becomes
+        the (O, M) weights f * exp(beta * base) in place.
+        """
+        u = np.exp(np.multiply(base, beta, out=base), out=base)
+        u *= f_vals
         fresh = list(range(revealed + 1, horizon + 1))
         if not fresh:
             vals = np.log(u.sum(axis=1)) - math.log(params.M)
@@ -503,8 +505,8 @@ def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed
             full[rows] = log_w.mean(axis=1)
         return half, full
 
-    e_hi_half, e_hi_full = side(i, _DOMAIN_PROBE_INNER_HI)
-    e_lo_half, e_lo_full = side(i - 1, _DOMAIN_PROBE_INNER_LO)
+    e_hi_half, e_hi_full = side(hi, i, _DOMAIN_PROBE_INNER_HI)
+    e_lo_half, e_lo_full = side(lo, i - 1, _DOMAIN_PROBE_INNER_LO)
 
     inc_half = np.exp(np.abs(e_hi_half - e_lo_half))
     inc_full = np.exp(np.abs(e_hi_full - e_lo_full))

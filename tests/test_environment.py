@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polymerlab.environment import (CovarianceConditioningError, EnvironmentHandle, GridDomainError,
-                                    SpectralClippingError, covariance_selftest, tagged_stream)
+from polymerlab.environment import (_DOMAIN_SLICE, CovarianceConditioningError, EnvironmentHandle,
+                                    GridDomainError, SpectralClippingError, covariance_selftest,
+                                    tagged_stream)
 from polymerlab.kernels import KernelSpec
 
 UNIT = KernelSpec()  # normalized exponential, lam=1
@@ -61,6 +62,16 @@ def test_grid_slice_bit_identical_and_frozen():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         a[0] = 0.0
+
+
+def test_cached_grid_slice_is_a_contiguous_copy():
+    env = EnvironmentHandle(21, UNIT, backend="grid", h=0.1, L=5.0)
+    values = env.build_grid_slice(3)
+    assert values.flags.c_contiguous and not values.flags.writeable
+    assert values.nbytes == 8 * env.n_nodes
+    rng = tagged_stream(21, _DOMAIN_SLICE, 3)
+    z = rng.standard_normal(env.n_circ) + 1j * rng.standard_normal(env.n_circ)
+    assert values.tobytes() == env.synthesize(z).tobytes()
 
 
 def test_single_node_grid_is_plain_gaussian():

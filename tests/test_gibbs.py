@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from polymerlab.environment import EnvironmentHandle, GridDomainError, suggested_halfwidth
-from polymerlab.gibbs import (ESTIMATE_CSV_HEADER, GibbsEstimate, GibbsParams, ReplicaError,
-                              WeightDegeneracyWarning, estimate_csv_row, gibbs_expect,
-                              hamiltonian, log_partition, quenched_average, replica_hamiltonian)
+from polymerlab.gibbs import (GibbsEstimate, GibbsParams, ReplicaError, WeightDegeneracyWarning,
+                              gibbs_expect, hamiltonian, log_partition, quenched_average,
+                              replica_hamiltonian)
 from polymerlab.kernels import KernelSpec
 from polymerlab.walk import PathEnsemble, sample_paths
 
@@ -206,13 +206,6 @@ def test_annealed_identity_small_horizon():
 
     qa = quenched_average(range(3000, 3150), annealed_mean)
     assert abs(qa.mean - 1.0) <= 4 * qa.stderr
-
-
-def test_estimate_schema_row():
-    row = estimate_csv_row("logZ", 16, 0.5, None, 1.25, 0.01, 900.0, 1000, 50, 42)
-    assert len(row) == len(ESTIMATE_CSV_HEADER)
-    assert row[3] == "na"
-    assert row[4] == repr(1.25)
 
 
 def test_gibbs_estimate_invariants():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import norm
 from polymerlab.environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
 from polymerlab.gibbs import GibbsParams, ReplicaError
 from polymerlab.kernels import KernelSpec
-from polymerlab.verify import (BoundConstants, ExpoIneqCase, IncrementProbeResult, _draw_slices,
+from polymerlab.verify import (BoundConstants, ExpoIneqCase, IncrementProbeResult, _draw_batches,
                                _tilted_log_mass, ball_bound_test, check_expo_ineq,
                                check_log_moment_bounds, concentration_bound, concentration_scan,
                                girsanov_identity_test, make_report, martingale_increment_probe,
@@ -308,6 +309,10 @@ def test_probe_validation():
         martingale_increment_probe(4, 5, 2, params, seed=0)
     with pytest.raises(ValueError):
         martingale_increment_probe(4, 4, 2, params, seed=0, f_radius=1e-9)
+    with pytest.raises(ValueError, match="n_outer"):
+        martingale_increment_probe(4, 4, 2, params, seed=0, n_outer=1, n_inner=10)
+    with pytest.raises(ValueError, match="n_inner"):
+        martingale_increment_probe(4, 4, 2, params, seed=0, n_outer=10, n_inner=0)
 
 
 def _draw_slices_one_at_a_time(template, idx, seed, domain, count, slices):
@@ -363,8 +368,25 @@ def test_batched_increment_draws_match_one_draw_at_a_time(monkeypatch, chunk):
     template = EnvironmentHandle(11, UNIT, d=1, backend="grid", L=suggested_halfwidth(3))
     idx = np.stack([template.snap(np.linspace(-4.0, 4.0, 37)[:, None] * s) for s in (0.5, 1.0, 1.5)])
     for slices in ([1], [2, 3], [1, 2, 3]):
-        got = _draw_slices(template, idx, 11, 5, 301, slices)
+        batches = list(_draw_batches(template, idx, 11, 5, 301, slices))
+        starts = [0] + [draws.stop for draws, _ in batches]
+        assert [(draws.start, draws.stop) for draws, _ in batches] == list(zip(starts, starts[1:]))
+        assert starts[-1] == 301 and all(draws.stop > draws.start for draws, _ in batches)
+        got = np.concatenate([gathered for _, gathered in batches])
         assert got.tobytes() == _draw_slices_one_at_a_time(template, idx, 11, 5, 301, slices).tobytes()
+
+
+def test_increment_probe_holds_no_whole_outer_draw_array(monkeypatch):
+    # the (n_outer, i, M) outer draws alone would take 4 * n_outer * M * 8 bytes
+    monkeypatch.setattr("polymerlab.verify.MC_CHUNK", 20_000)
+    params, n_outer = GibbsParams(beta=0.5, M=1000), 2000
+    tracemalloc.start()
+    try:
+        martingale_increment_probe(4, 4, 4, params, seed=9, n_outer=n_outer, n_inner=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_outer * params.M * 8
 
 
 @pytest.mark.parametrize("chunk", [None, 7001])
