@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polymerlab.cli import SPREADS_CSV_HEADER, _write_csv
 from polymerlab.environment import EnvironmentHandle, GridDomainError, suggested_halfwidth
 from polymerlab.gibbs import (GibbsEstimate, GibbsParams, ReplicaError, WeightDegeneracyWarning,
                               gibbs_expect, hamiltonian, log_partition, quenched_average,
@@ -206,6 +207,17 @@ def test_annealed_identity_small_horizon():
 
     qa = quenched_average(range(3000, 3150), annealed_mean)
     assert abs(qa.mean - 1.0) <= 4 * qa.stderr
+
+
+def test_estimate_schema_row(tmp_path):
+    est = GibbsEstimate(value=1.25, stderr=0.01, M=1000, ess=900.0)
+    path = tmp_path / "spreads.csv"
+    _write_csv(path, SPREADS_CSV_HEADER,
+               [("logZ", 16, 0.5, "na", est.value, est.stderr, est.ess, est.M, 50, 42)])
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    assert len(row) == len(header) == len(SPREADS_CSV_HEADER)
+    assert row[3] == "na"
+    assert row[4] == repr(1.25)
 
 
 def test_gibbs_estimate_invariants():
