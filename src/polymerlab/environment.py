@@ -197,8 +197,13 @@ class EnvironmentHandle:
         return self._scaled_spectrum
 
     def synthesize(self, z: np.ndarray) -> np.ndarray:
-        """Grid fields from complex standard normals ``z`` of shape (..., n_circ)."""
-        return np.fft.ifft(self._spectrum() * z, axis=-1).real[..., :self.n_nodes]
+        """Grid fields from complex standard normals ``z`` of shape (..., n_circ).
+
+        One complex array is allocated, the product with the spectrum, and
+        the inverse FFT overwrites it; ``z`` is left untouched.
+        """
+        prod = np.multiply(self._spectrum(), z)
+        return np.fft.ifft(prod, axis=-1, out=prod).real[..., :self.n_nodes]
 
     def build_grid_slice(self, k: int) -> np.ndarray:
         """Synthesize (or fetch) the field on the grid for slice k."""
@@ -213,10 +218,12 @@ class EnvironmentHandle:
             if got is not None:
                 return got
             rng = tagged_stream(self.seed, _DOMAIN_SLICE, k)
+            z = np.empty(self.n_circ, dtype=complex)
+            z.real = rng.standard_normal(self.n_circ)
+            z.imag = rng.standard_normal(self.n_circ)
             # a contiguous copy: synthesize's strided view would keep the
             # whole complex ifft buffer alive behind the cached values
-            values = np.ascontiguousarray(self.synthesize(rng.standard_normal(self.n_circ)
-                                                          + 1j * rng.standard_normal(self.n_circ)))
+            values = np.ascontiguousarray(self.synthesize(z))
             values.flags.writeable = False
             self._slices[k] = values
             return values

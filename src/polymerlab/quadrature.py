@@ -6,13 +6,20 @@ log-moment inequalities independently of any sampler.  A plain
 Monte Carlo companion with the same calling convention provides the
 cross-check at 4-sigma.
 
-Both oracles work in batches of at most ``MC_CHUNK`` nodes or draws, so
-the node matrix, ``z @ chol.T`` and the integrand's temporaries never
-exceed one batch.  The quadrature still keeps its n^m per-node log terms
-(or weights and integrand values) and reduces them once, with the same
-:func:`_logsumexp` or dot product as a one-shot grid, so the result does
-not depend on the batch size; that n^m reduction array is the memory that
-still scales with the grid (about 20 MiB per array at 40^4 nodes).
+The quadrature walks the n^m tensor grid in C-order batches of about
+``GH_BATCH_ENTRIES`` node coordinates: at most ``GH_BATCH_ENTRIES // m``
+nodes, 12,500 at m = 4, so that the node indices, the (k, m) nodes,
+``z @ chol.T`` and the integrand's (k, m) temporaries each stay near
+400 KB.  Every batch has at least 2 nodes (on grids of 2 or more): NumPy
+sends a one-row product to another BLAS routine, which can round
+differently.  The Monte Carlo oracle draws ``MC_CHUNK`` normals per
+chunk, and its per-chunk sums fix its output bytes.
+
+What still scales with the grid is the n^m reduction array: the per-node
+log terms of :func:`gauss_hermite_expect`, or the weights and integrand
+values of :func:`gauss_hermite_mean`, 19.5 MiB each at 40^4 nodes.  They
+are reduced once, with the same :func:`_logsumexp` or dot product as a
+one-shot grid, so the result does not depend on the batch size.
 :func:`_logsumexp` adds one shifted copy, exponentiated in place, and a
 boolean mask: a tracemalloc peak of 22 MiB over a 40^4 input, where
 ``scipy.special.logsumexp`` peaks at 100 MiB.
@@ -25,7 +32,8 @@ import numpy as np
 from .environment import _JITTER, CovarianceConditioningError
 
 MAX_GRID_POINTS = 40_000_000
-MC_CHUNK = 200_000              # quadrature nodes or Monte Carlo draws per batch
+MC_CHUNK = 200_000              # Monte Carlo draws (or increment-probe normals) per batch
+GH_BATCH_ENTRIES = 50_000       # node coordinates (k nodes x m) per quadrature batch
 
 
 def _chol(cov: np.ndarray) -> np.ndarray:
@@ -82,7 +90,8 @@ def _batches(total: int, limit: int) -> list[slice]:
     Equal sizes leave no one-row tail batch: NumPy sends a one-row product
     to another BLAS routine (dot instead of gemv, gemv instead of gemm),
     which can round differently from the one every other batch and a
-    one-shot product use.
+    one-shot product use.  With ``limit`` >= 3 and ``total`` >= 2 no range
+    is shorter than 2.
     """
     count = max(1, -(-total // limit))
     return [slice(total * b // count, total * (b + 1) // count) for b in range(count)]
@@ -91,11 +100,12 @@ def _batches(total: int, limit: int) -> list[slice]:
 def _tensor_batches(m: int, n_nodes: int):
     """(flat-index slice, standard-normal nodes (k, m), log weights (k,)) per batch.
 
-    Consecutive C-order ranges of the n^m tensor grid, k <= ``MC_CHUNK``.
+    Consecutive C-order ranges of the n^m tensor grid, with
+    2 <= k <= max(3, ``GH_BATCH_ENTRIES`` // m) wherever n^m >= 2.
     """
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
     log_w1 = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
-    for rows in _batches(n_nodes**m, MC_CHUNK):
+    for rows in _batches(n_nodes**m, max(3, GH_BATCH_ENTRIES // m)):
         idx = np.array(np.unravel_index(np.arange(rows.start, rows.stop), (n_nodes,) * m))
         yield rows, nodes[idx].T.copy(), log_w1[idx].sum(axis=0)
 
@@ -106,7 +116,7 @@ def gauss_hermite_expect(cov: np.ndarray, log_integrand, n_nodes: int = 40) -> f
     ``log_integrand`` maps an (n_points, m) array of field values to the
     (n_points,) log of the integrand; doing everything in logs keeps
     exponential integrands finite.  It is called once per batch of at
-    most ``MC_CHUNK`` nodes.
+    most ``GH_BATCH_ENTRIES // m`` nodes.
     """
     chol = _chol(cov)
     terms = np.empty(_grid_size(len(chol), n_nodes))
@@ -118,7 +128,7 @@ def gauss_hermite_expect(cov: np.ndarray, log_integrand, n_nodes: int = 40) -> f
 def gauss_hermite_mean(cov: np.ndarray, integrand, n_nodes: int = 40) -> float:
     """E[integrand(g)] for g ~ N(0, cov); for integrands of either sign.
 
-    ``integrand`` is called once per batch of at most ``MC_CHUNK`` nodes.
+    ``integrand`` is called once per batch of at most ``GH_BATCH_ENTRIES // m`` nodes.
     """
     chol = _chol(cov)
     size = _grid_size(len(chol), n_nodes)

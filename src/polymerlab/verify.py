@@ -410,14 +410,14 @@ def _draw_batches(template: EnvironmentHandle, idx: np.ndarray, seed: int, domai
     size = max(draws.stop - draws.start for draws in batches)
     rows = np.arange(len(slices))[:, None]
     nodes = idx[np.asarray(slices) - 1]                     # (len(slices), M)
-    re, im = np.empty((size, *shape)), np.empty((size, *shape))
+    z = np.empty((size, *shape), dtype=complex)
     for draws in batches:
         k = draws.stop - draws.start
         for b in range(k):
             rng = tagged_stream(seed, domain, draws.start + b)
-            rng.standard_normal(out=re[b])
-            rng.standard_normal(out=im[b])
-        yield draws, template.synthesize(re[:k] + 1j * im[:k])[:, rows, nodes]
+            z[b].real = rng.standard_normal(shape)
+            z[b].imag = rng.standard_normal(shape)
+        yield draws, template.synthesize(z[:k])[:, rows, nodes]
 
 
 @dataclass(frozen=True)

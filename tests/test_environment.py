@@ -74,6 +74,19 @@ def test_cached_grid_slice_is_a_contiguous_copy():
     assert values.tobytes() == env.synthesize(z).tobytes()
 
 
+@pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+def test_synthesize_matches_plain_ifft_and_keeps_z(batch):
+    env = EnvironmentHandle(21, UNIT, backend="grid", h=0.1, L=5.0)
+    rng = np.random.default_rng(len(batch))
+    z = rng.standard_normal((*batch, env.n_circ)) + 1j * rng.standard_normal((*batch, env.n_circ))
+    before = z.copy()
+    want = np.fft.ifft(env._spectrum() * z).real[..., :env.n_nodes]
+    got = env.synthesize(z)
+    assert got.shape == (*batch, env.n_nodes)
+    assert got.tobytes() == want.tobytes()
+    assert z.tobytes() == before.tobytes()
+
+
 def test_single_node_grid_is_plain_gaussian():
     vals = np.array([EnvironmentHandle(s, UNIT, backend="grid", h=0.1, L=0.0).sample_slice_at(1, [0.0])[0]
                      for s in range(4000)])

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from polymerlab import quadrature
 from polymerlab.environment import CovarianceConditioningError, tagged_stream
 from polymerlab.kernels import KernelSpec, gamma_matrix
-from polymerlab.quadrature import (MC_CHUNK, _chol, _logsumexp, gauss_hermite_expect,
+from polymerlab.quadrature import (_batches, _chol, _logsumexp, gauss_hermite_expect,
                                    gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean)
 from polymerlab.verify import check_expo_ineq, check_log_moment_bounds, random_expo_cases
 
@@ -113,17 +113,23 @@ def _lemma_integrands(m):
 
 
 # (m, n_nodes, chunk): grids smaller than, equal to, a multiple of and not a
-# multiple of the batch; chunk None keeps MC_CHUNK.
+# multiple of a batch of ``chunk`` nodes, steered through GH_BATCH_ENTRIES;
+# chunks below 3 get the 3-node floor, whose batches hold 2 or 3 nodes.
+# chunk None keeps the real batch, which 40^3 and 22^4 exceed.
 _BATCH_CASES = [(1, 40, None), (2, 40, None), (3, 40, None), (4, 22, None),
                 (1, 64, 64), (2, 8, 64), (3, 4, 64), (4, 3, 81),
-                (4, 4, 64), (2, 9, 10), (3, 7, 50), (4, 5, 7), (1, 30, 1)]
+                (4, 4, 64), (2, 9, 10), (3, 7, 50), (4, 5, 7), (1, 30, 1),
+                (4, 4, 2), (4, 3, 2), (4, 7, 1000)]
 
 
 @pytest.mark.parametrize("m, n_nodes, chunk", _BATCH_CASES)
 def test_batched_quadrature_bytes_match_one_shot_grid(monkeypatch, m, n_nodes, chunk):
     if chunk is not None:
-        monkeypatch.setattr(quadrature, "MC_CHUNK", chunk)
-    assert (n_nodes**m > MC_CHUNK) == (m == 4 and chunk is None)   # 22^4 spans two real batches
+        monkeypatch.setattr(quadrature, "GH_BATCH_ENTRIES", chunk * m)
+    limit = max(3, quadrature.GH_BATCH_ENTRIES // m)
+    sizes = [rows.stop - rows.start for rows, _, _ in quadrature._tensor_batches(m, n_nodes)]
+    assert sum(sizes) == n_nodes**m and 2 <= min(sizes) and max(sizes) <= limit
+    assert (len(sizes) > 1) == (n_nodes**m > limit)
     cov = gamma_matrix(KernelSpec(kind="exponential-petermann", lam=1.3),
                        np.linspace(-1.0, 1.5, m)[:, None])
     for fn in _lemma_integrands(m):
@@ -131,6 +137,15 @@ def test_batched_quadrature_bytes_match_one_shot_grid(monkeypatch, m, n_nodes, c
         assert np.float64(got).tobytes() == np.float64(_one_shot_expect(cov, fn, n_nodes)).tobytes()
         got = gauss_hermite_mean(cov, fn, n_nodes=n_nodes)
         assert np.float64(got).tobytes() == np.float64(_one_shot_mean(cov, fn, n_nodes)).tobytes()
+
+
+def test_batches_hold_two_to_limit_rows_from_a_limit_of_three():
+    for total in range(2, 300):
+        for limit in range(3, 40):
+            ranges = _batches(total, limit)
+            assert ranges[0].start == 0 and ranges[-1].stop == total
+            assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+            assert all(2 <= r.stop - r.start <= limit for r in ranges), (total, limit)
 
 
 def test_four_atom_oracles_stay_below_256_mib():
@@ -147,6 +162,26 @@ def test_four_atom_oracles_stay_below_256_mib():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 256, peaks
+
+
+@pytest.mark.parametrize("oracle", ["expo_ineq", "log_moment_bounds"])
+def test_four_atom_oracle_peaks_below_48_mib(oracle):
+    """Node batches of GH_BATCH_ENTRIES coordinates leave the n^m reduction arrays as the peak.
+
+    With 200,000-node batches the two checks peaked at 62.5 and 78.9 MiB.
+    """
+    case = next(c for c in random_expo_cases(20240817) if len(c.mu_atoms) == 4)
+    tracemalloc.start()
+    try:
+        if oracle == "expo_ineq":
+            assert check_expo_ineq(case).passed
+        else:
+            assert check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta,
+                                           case.kernel).passed
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 48, peak
 
 
 # -- the lean log-sum-exp against scipy.special.logsumexp ----------------------
