@@ -197,13 +197,8 @@ class EnvironmentHandle:
         return self._scaled_spectrum
 
     def synthesize(self, z: np.ndarray) -> np.ndarray:
-        """Grid fields from complex standard normals ``z`` of shape (..., n_circ).
-
-        One complex array is allocated, the product with the spectrum, and
-        the inverse FFT overwrites it; ``z`` is left untouched.
-        """
-        prod = np.multiply(self._spectrum(), z)
-        return np.fft.ifft(prod, axis=-1, out=prod).real[..., :self.n_nodes]
+        """Grid fields from complex standard normals ``z`` of shape (..., n_circ)."""
+        return np.fft.ifft(self._spectrum() * z, axis=-1).real[..., :self.n_nodes]
 
     def build_grid_slice(self, k: int) -> np.ndarray:
         """Synthesize (or fetch) the field on the grid for slice k."""

@@ -100,12 +100,13 @@ def _batches(total: int, limit: int) -> list[slice]:
 def _tensor_batches(m: int, n_nodes: int):
     """(flat-index slice, standard-normal nodes (k, m), log weights (k,)) per batch.
 
-    Consecutive C-order ranges of the n^m tensor grid, with
-    2 <= k <= max(3, ``GH_BATCH_ENTRIES`` // m) wherever n^m >= 2.
+    Consecutive C-order ranges of the n^m tensor grid, k <= ``GH_BATCH_ENTRIES`` // m.
+    That limit is at least 3 on every grid ``MAX_GRID_POINTS`` allows, so
+    k >= 2 wherever n^m >= 2.
     """
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
     log_w1 = np.log(weights) - 0.5 * np.log(2.0 * np.pi)
-    for rows in _batches(n_nodes**m, max(3, GH_BATCH_ENTRIES // m)):
+    for rows in _batches(n_nodes**m, GH_BATCH_ENTRIES // m):
         idx = np.array(np.unravel_index(np.arange(rows.start, rows.stop), (n_nodes,) * m))
         yield rows, nodes[idx].T.copy(), log_w1[idx].sum(axis=0)
 

@@ -114,22 +114,24 @@ def _lemma_integrands(m):
 
 # (m, n_nodes, chunk): grids smaller than, equal to, a multiple of and not a
 # multiple of a batch of ``chunk`` nodes, steered through GH_BATCH_ENTRIES;
-# chunks below 3 get the 3-node floor, whose batches hold 2 or 3 nodes.
-# chunk None keeps the real batch, which 40^3 and 22^4 exceed.
+# (4, 4, 2) runs in batches of exactly 2 nodes.  chunk None keeps the real
+# batch, which 40^3 and 22^4 exceed.
 _BATCH_CASES = [(1, 40, None), (2, 40, None), (3, 40, None), (4, 22, None),
                 (1, 64, 64), (2, 8, 64), (3, 4, 64), (4, 3, 81),
                 (4, 4, 64), (2, 9, 10), (3, 7, 50), (4, 5, 7), (1, 30, 1),
-                (4, 4, 2), (4, 3, 2), (4, 7, 1000)]
+                (4, 4, 2), (4, 7, 1000)]
 
 
 @pytest.mark.parametrize("m, n_nodes, chunk", _BATCH_CASES)
 def test_batched_quadrature_bytes_match_one_shot_grid(monkeypatch, m, n_nodes, chunk):
     if chunk is not None:
         monkeypatch.setattr(quadrature, "GH_BATCH_ENTRIES", chunk * m)
-    limit = max(3, quadrature.GH_BATCH_ENTRIES // m)
+    limit = quadrature.GH_BATCH_ENTRIES // m
     sizes = [rows.stop - rows.start for rows, _, _ in quadrature._tensor_batches(m, n_nodes)]
-    assert sum(sizes) == n_nodes**m and 2 <= min(sizes) and max(sizes) <= limit
+    assert sum(sizes) == n_nodes**m and min(2, limit) <= min(sizes) and max(sizes) <= limit
     assert (len(sizes) > 1) == (n_nodes**m > limit)
+    if chunk is None:
+        assert (len(sizes) > 1) == (m >= 3)
     cov = gamma_matrix(KernelSpec(kind="exponential-petermann", lam=1.3),
                        np.linspace(-1.0, 1.5, m)[:, None])
     for fn in _lemma_integrands(m):
@@ -139,13 +141,14 @@ def test_batched_quadrature_bytes_match_one_shot_grid(monkeypatch, m, n_nodes, c
         assert np.float64(got).tobytes() == np.float64(_one_shot_mean(cov, fn, n_nodes)).tobytes()
 
 
-def test_batches_hold_two_to_limit_rows_from_a_limit_of_three():
-    for total in range(2, 300):
-        for limit in range(3, 40):
-            ranges = _batches(total, limit)
-            assert ranges[0].start == 0 and ranges[-1].stop == total
-            assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
-            assert all(2 <= r.stop - r.start <= limit for r in ranges), (total, limit)
+def test_quadrature_batch_limit_is_at_least_three_on_every_allowed_grid():
+    """A limit of 3 or more keeps every batch of a grid of 2 or more nodes at 2 or more rows.
+
+    Two nodes per axis allow the most atoms under MAX_GRID_POINTS.
+    """
+    m_max = max(m for m in range(1, 64) if 2**m <= quadrature.MAX_GRID_POINTS)
+    assert quadrature.GH_BATCH_ENTRIES // m_max >= 3
+    assert all(r.stop - r.start >= 2 for total in range(2, 100) for r in _batches(total, 3))
 
 
 def test_four_atom_oracles_stay_below_256_mib():
@@ -168,7 +171,8 @@ def test_four_atom_oracles_stay_below_256_mib():
 def test_four_atom_oracle_peaks_below_48_mib(oracle):
     """Node batches of GH_BATCH_ENTRIES coordinates leave the n^m reduction arrays as the peak.
 
-    With 200,000-node batches the two checks peaked at 62.5 and 78.9 MiB.
+    In a fresh process the two checks peak at 43.6 and 41.7 MiB; with the
+    earlier 200,000-node batches they peaked at 62.5 and 78.9 MiB.
     """
     case = next(c for c in random_expo_cases(20240817) if len(c.mu_atoms) == 4)
     tracemalloc.start()
