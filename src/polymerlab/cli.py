@@ -36,7 +36,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import resource
 import sys
 import time
@@ -351,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file (defaults embedded)")
     common.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (fallback: POLYMERLAB_THREADS)")
+    common.add_argument("--threads", type=int, metavar="N", help="override the config's worker threads")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
 
     parser = argparse.ArgumentParser(
@@ -376,13 +374,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        threads = args.threads
-        if threads is None and os.environ.get("POLYMERLAB_THREADS"):
-            try:
-                threads = int(os.environ["POLYMERLAB_THREADS"])
-            except ValueError:
-                raise ConfigError("POLYMERLAB_THREADS must be an integer") from None
-        cfg = load_config(args.config, seed=args.seed, threads=threads, output_dir=args.out)
+        cfg = load_config(args.config, seed=args.seed, threads=args.threads, output_dir=args.out)
         run = {"env-check": cmd_env_check, "verify": cmd_verify, "xi-scan": cmd_xi_scan,
                "fluct-fit": cmd_fluct_fit}[args.command]
         operands = [args.suite] if args.command == "verify" else []

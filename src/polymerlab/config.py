@@ -113,11 +113,12 @@ def validate_config(doc: dict) -> RunConfig:
     n_grid = doc["n_grid"]
     _require(isinstance(n_grid, list) and len(n_grid) > 0, "n_grid must be a nonempty list")
     _require(all(_is_int(n) and n >= 1 for n in n_grid), "n_grid entries must be integers >= 1")
-    _require(list(n_grid) == sorted(n_grid), "n_grid must be sorted ascending")
+    _require(all(a < b for a, b in zip(n_grid, n_grid[1:])), "n_grid must be strictly ascending")
 
     alphas = doc["alphas"]
     _require(isinstance(alphas, list) and len(alphas) > 0, "alphas must be a nonempty list")
     _require(all(_is_real(a) and a > 0 for a in alphas), "alphas entries must be positive finite reals")
+    _require(len(set(alphas)) == len(alphas), "alphas entries must be distinct")
 
     _require(_is_real(doc.get("nu")) and doc["nu"] > 0.5, "nu must be a finite real above 0.5")
     for name, low in (("d", 1), ("M", 2), ("R", 2), ("threads", 1)):

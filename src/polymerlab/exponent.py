@@ -1,4 +1,4 @@
-"""Transverse-spread diagnostics: ball partition, alpha scans, slope fit.
+"""Transverse-spread diagnostics: alpha scans and the spread-slope fit.
 
 The finite-n surrogates for the volume exponent come in two forms and the
 module deliberately blesses neither: an alpha scan of containment masses
@@ -18,47 +18,10 @@ import numpy as np
 
 from .gibbs import GibbsParams, gibbs_expect, quenched_average, replica_over_n
 from .gibbs import hamiltonian  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
-from .kernels import KernelSpec, _as_points
+from .kernels import KernelSpec
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .walk import running_max_norm
 from .walk import sample_paths  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
-
-
-@dataclass(frozen=True)
-class BallIndex:
-    """Even-integer index j of the max-norm ball B(j n^alpha, n^alpha)."""
-
-    j: tuple
-    alpha: float
-    n: int
-
-    @property
-    def radius(self) -> float:
-        return float(self.n) ** self.alpha
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.asarray(self.j, dtype=float) * self.radius
-
-
-def ball_indices(points, n: int, alpha: float) -> np.ndarray:
-    """Vectorized ball indices, one row of even integers per point.
-
-    Coordinate convention is half-open at the upper face:
-    j_i = 2 * floor((x_i + n^alpha) / (2 n^alpha)), so j = 0 exactly on
-    the central ball and shared boundaries go to the larger index.
-    """
-    radius = float(n) ** alpha
-    if not radius > 0:
-        raise ValueError("n^alpha must be positive")
-    pts = _as_points(points)
-    return 2 * np.floor((pts + radius) / (2.0 * radius)).astype(int)
-
-
-def ball_index_of(x, n: int, alpha: float) -> BallIndex:
-    """Index of the unique partition ball containing the point x."""
-    j = ball_indices(np.atleast_2d(np.asarray(x, dtype=float)), n, alpha)[0]
-    return BallIndex(j=tuple(int(v) for v in j), alpha=alpha, n=n)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ def _fold_coordinates(pa: np.ndarray, pb: np.ndarray, term, fold) -> np.ndarray:
     return out
 
 
-def gamma_matrix(kernel: KernelSpec, points_a, points_b=None, d: int | None = None) -> np.ndarray:
+def gamma_matrix(kernel: KernelSpec, points_a, points_b=None) -> np.ndarray:
     """Covariance matrix [gamma(a_i - b_j)] for two point sets within one slice.
 
     For the exponential-petermann and product-exponential kernels, builds one
@@ -110,8 +110,8 @@ def gamma_matrix(kernel: KernelSpec, points_a, points_b=None, d: int | None = No
     result is a fresh, writable, C-contiguous array that callers may modify
     in place.
     """
-    pa = _as_points(points_a, d)
-    pb = pa if points_b is None else _as_points(points_b, d)
+    pa = _as_points(points_a)
+    pb = pa if points_b is None else _as_points(points_b)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"point sets differ in dimension: {pa.shape[1]} and {pb.shape[1]}")
     if pa.shape[1] < 1:

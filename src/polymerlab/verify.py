@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
-from .gibbs import GibbsParams, quenched_average, replica_hamiltonian, replica_over_n
+from .gibbs import GibbsParams, log_partition, quenched_average, replica_hamiltonian, replica_over_n
 from .kernels import KernelSpec, gamma_matrix
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .quadrature import (MC_CHUNK, _batches, _logsumexp, gauss_hermite_expect,
@@ -350,11 +350,10 @@ def concentration_bound(n: int, nu: float) -> float:
 
 
 def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
-                       functional: str = "logZ", event_alpha: float = 0.75,
                        kernel: KernelSpec = KernelSpec(),
                        h: float | None = None, L: float | None = None,
                        threads: int = 1) -> list[ConcentrationRow]:
-    """Spread of log Z_n (or of a bulk log W) across environments, per n.
+    """Spread of log Z_n, estimated by :func:`gibbs.log_partition`, across environments, per n.
 
     Reports the empirical standard deviation, the frequency of deviations
     beyond n^nu, the proved tail bound, and the trend ratio std / n^nu.
@@ -366,19 +365,10 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
     seeds = list(env_seeds)
     if len(seeds) < CONCENTRATION_MIN_R:
         raise ValueError(f"concentration scan needs >= {CONCENTRATION_MIN_R} replicas per n, got {len(seeds)}")
-    if functional not in ("logZ", "logW_event"):
-        raise ValueError(f"unknown functional {functional!r}")
-
-    def log_w(paths, hv, n) -> float:
-        if functional == "logW_event":
-            hv = hv[np.abs(paths.endpoints).max(axis=1) <= float(n) ** event_alpha]
-            if not hv.size:
-                raise ValueError(f"event for logW_event has no sampled mass at n={n}")
-        return float(_logsumexp(params.beta * hv) - math.log(params.M))
-
     n_values = list(n_grid)
     qa = quenched_average(seeds, lambda s: replica_over_n(
-        s, n_values, params, log_w, kernel, h=h, L=L), threads=threads)
+        s, n_values, params, lambda paths, hv, n: log_partition(params.beta, hv).value, kernel,
+        h=h, L=L), threads=threads)
     rows = []
     for n, values, mean in zip(n_values, qa.values.T, qa.mean):
         std = float(values.std(ddof=1))

@@ -100,9 +100,6 @@ def tilt_log_weight(tilted: PathEnsemble, tilt: TiltSpec) -> np.ndarray:
     return -s_k @ lam + 0.5 * tilt.k * float(lam @ lam)
 
 
-def running_max_norm(paths) -> np.ndarray | float:
+def running_max_norm(paths: PathEnsemble) -> np.ndarray:
     """max over steps of the coordinate max-norm |S_k|, per path."""
-    pos = np.asarray(paths.positions if isinstance(paths, PathEnsemble) else paths, dtype=float)
-    if pos.ndim == 2:                     # single path (n, d)
-        return float(np.abs(pos).max()) if pos.size else 0.0
-    return np.abs(pos).max(axis=(1, 2))
+    return np.abs(paths.positions).max(axis=(1, 2))

@@ -121,17 +121,6 @@ def test_seed_flag_overrides_config(tmp_path):
     assert ",999" in first.splitlines()[1]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    out = tmp_path / "t"
-    cfg = write_config(tmp_path, beta=0.0, M=100, R=4, output_dir=str(out))
-    monkeypatch.setenv("POLYMERLAB_THREADS", "3")
-    assert main(["xi-scan", "--config", cfg]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["threads"] == 3
-    monkeypatch.setenv("POLYMERLAB_THREADS", "soup")
-    assert main(["xi-scan", "--config", cfg]) == 2
-
-
 def test_rerun_is_byte_identical_across_threads(tmp_path):
     cfg = write_config(tmp_path, beta=0.5, M=150, R=8)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -149,16 +138,18 @@ def test_fluct_fit_rerun_is_byte_identical_across_threads(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["xi-scan", "fluct-fit"])
+@pytest.mark.parametrize("command", ["xi-scan", "fluct-fit", "verify concentration"])
 def test_degeneracy_warnings_are_counted_not_printed(tmp_path, capsys, command):
     # beta = 1.5 with M = 50 collapses the importance weights of some replicas
-    cfg = write_config(tmp_path, beta=1.5, M=50, R=4, n_grid=[4, 9, 16, 25])
+    R = 200 if command == "verify concentration" else 4      # concentration needs R >= 200
+    cfg = write_config(tmp_path, beta=1.5, M=50, R=R, n_grid=[4, 9, 16, 25])
     counts, data = [], []
     for threads in ("1", "2"):
         out = tmp_path / threads
         with warnings.catch_warnings(record=True) as escaped:
             warnings.simplefilter("always")
-            assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            assert main([*command.split(), "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
         assert escaped == []
         manifest = json.loads((out / "manifest.json").read_text())
         assert "warnings" not in manifest["summary"]
@@ -254,6 +245,7 @@ BAD_NUMBERS = [
     ({"alphas": [float("inf")]}, "alphas"), ({"alphas": [True]}, "alphas"),
     ({"nu": float("inf")}, "nu"), ({"nu": float("nan")}, "nu"), ({"M": 100.0}, "M must"),
     ({"R": True}, "R must"), ({"threads": True}, "threads"),
+    ({"n_grid": [4, 4, 9, 16, 25]}, "n_grid"), ({"alphas": [0.6, 0.8, 0.6]}, "alphas"),
 ]
 
 
@@ -377,14 +369,6 @@ def test_out_that_cannot_be_made_exits_two_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("polymerlab: error: ") and str(out) in err[0]
     assert blocker.read_text() == "keep"
-
-
-def test_bad_threads_variable_gets_the_error_prefix(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("POLYMERLAB_THREADS", "soup")
-    assert main(["env-check", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "polymerlab: error: POLYMERLAB_THREADS must be an integer"]
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, overrides, field, suite", [

@@ -1,44 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from polymerlab.environment import EnvironmentHandle, tagged_stream
-from polymerlab.exponent import ball_index_of, ball_indices, fluctuation_fit, xi_scan
+from polymerlab.environment import EnvironmentHandle
+from polymerlab.exponent import fluctuation_fit, xi_scan
 from polymerlab.gibbs import GibbsParams, ReplicaError, gibbs_expect, hamiltonian
 from polymerlab.kernels import KernelSpec
 from polymerlab.walk import running_max_norm, sample_paths
 
 UNIT = KernelSpec()
-
-
-def test_ball_index_examples():
-    r = 16 ** 0.75
-    assert ball_index_of([0.5 * r], 16, 0.75).j == (0,)
-    assert ball_index_of([2 * r], 16, 0.75).j == (2,)
-    assert ball_index_of([3 * r], 16, 0.75).j == (4,)    # shared face goes up
-    assert ball_index_of([r], 16, 0.75).j == (2,)        # half-open upper face
-    assert ball_index_of([-r], 16, 0.75).j == (0,)       # lower face is closed
-    idx = ball_index_of([2 * r, -2 * r], 16, 0.75)
-    assert idx.j == (2, -2)
-    assert np.allclose(idx.center, [2 * r, -2 * r])
-
-
-def test_partition_property_bulk():
-    n, alpha = 16, 0.75
-    r = float(n) ** alpha
-    rng = tagged_stream(0, 9, 0)
-    pts = rng.uniform(-6 * r, 6 * r, size=(100_000, 2))
-    outside = pts[np.abs(pts).max(axis=1) >= r]
-    j = ball_indices(outside, n, alpha)
-    assert np.all(j % 2 == 0)
-    assert np.all(np.any(j != 0, axis=1))
-    # membership in the half-open ball B(j r, r)
-    gap = outside - j * r
-    assert np.all((gap >= -r) & (gap < r))
-    inside = pts[np.abs(pts).max(axis=1) < r]
-    assert np.all(ball_indices(inside, n, alpha) == 0)
 
 
 def test_xi_scan_free_measure_matches_normal_cdf():

@@ -9,6 +9,7 @@ from polymerlab.gibbs import (GibbsEstimate, GibbsParams, ReplicaError, WeightDe
                               gibbs_expect, hamiltonian, log_partition, quenched_average,
                               replica_hamiltonian)
 from polymerlab.kernels import KernelSpec
+from polymerlab.quadrature import _logsumexp
 from polymerlab.walk import PathEnsemble, sample_paths
 
 UNIT = KernelSpec()
@@ -89,6 +90,13 @@ def test_log_partition_closed_forms():
 
     pair = log_partition(1.0, np.array([0.0, math.log(2.0)]))
     assert pair.value == pytest.approx(math.log(1.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("M", [1000, 9170])
+def test_log_partition_keeps_the_concentration_bytes(M):
+    # verify concentration writes this value; np.log(9170) is one ulp below math.log(9170)
+    h = np.random.default_rng(M).standard_normal(M)
+    assert log_partition(0.5, h).value == float(_logsumexp(0.5 * h) - math.log(M))
 
 
 def test_gibbs_expect_self_normalization_and_beta_zero():

@@ -91,9 +91,8 @@ def reference_fluctuation_fit(n_grid, params, env_seeds, kernel=KernelSpec(), d=
         reference_band=(0.6, 0.75) if d == 1 else None)
 
 
-def reference_concentration_scan(params, nu, n_grid, env_seeds, functional="logZ",
-                                 event_alpha=0.75, kernel=KernelSpec(), h=None, L=None,
-                                 threads=1):
+def reference_concentration_scan(params, nu, n_grid, env_seeds, kernel=KernelSpec(), h=None,
+                                 L=None, threads=1):
     seeds = list(env_seeds)
     rows = []
     for n in n_grid:
@@ -102,10 +101,7 @@ def reference_concentration_scan(params, nu, n_grid, env_seeds, functional="logZ
         def one(seed, n=n, L_eff=L_eff):
             paths = sample_paths(seed, params.M, n, 1)
             hv = replica_hamiltonian(seed, paths, params.beta, kernel, h=h, L=L_eff)
-            if functional == "logZ":
-                return float(logsumexp(params.beta * hv) - math.log(params.M))
-            mask = np.abs(paths.endpoints).max(axis=1) <= float(n) ** event_alpha
-            return float(logsumexp(params.beta * hv[mask]) - math.log(params.M))
+            return float(logsumexp(params.beta * hv) - math.log(params.M))
 
         qa = quenched_average(seeds, one, threads=threads)
         std = float(qa.values.std(ddof=1))
@@ -175,11 +171,10 @@ def test_fluctuation_fit_matches_per_n_loop(d, backend, kernel):
     assert fluctuation_fit(*args, **kw) == reference_fluctuation_fit(*args, **kw)
 
 
-@pytest.mark.parametrize("functional", ["logZ", "logW_event"])
-def test_concentration_scan_matches_per_n_loop(functional):
+def test_concentration_scan_matches_per_n_loop():
     params = GibbsParams(beta=0.8, M=40)
     args = (params, 0.75, [2, 3, 5], range(300, 500))
-    kw = dict(functional=functional, kernel=KernelSpec(lam=1.5), threads=2)
+    kw = dict(kernel=KernelSpec(lam=1.5), threads=2)
     assert concentration_scan(*args, **kw) == reference_concentration_scan(*args, **kw)
 
 

@@ -245,22 +245,6 @@ def test_concentration_preconditions():
         concentration_scan(params, 0.4, [8], range(200))
     with pytest.raises(ValueError):
         concentration_scan(params, 0.75, [8], range(100))
-    with pytest.raises(ValueError):
-        concentration_scan(params, 0.75, [8], range(200), functional="bogus")
-
-
-def test_concentration_logw_event_functional():
-    rows = concentration_scan(GibbsParams(beta=0.5, M=400), 0.75, [8],
-                              range(4000, 4200), functional="logW_event")
-    assert len(rows) == 1
-    assert rows[0].std > 0.0
-    assert 0.0 <= rows[0].exceedance_freq <= 1.0
-
-
-def test_concentration_logw_event_without_mass_names_the_replica():
-    with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\).*no sampled mass"):
-        concentration_scan(GibbsParams(beta=0.5, M=50), 0.75, [8], range(200),
-                           functional="logW_event", event_alpha=-5.0)
 
 
 def test_replica_fan_outs_name_the_failed_replica():
