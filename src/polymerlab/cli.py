@@ -60,7 +60,7 @@ from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckRepo
 VERIFY_SUITES = ("lemma21", "lemma22", "girsanov", "meancontrol", "ball", "concentration", "increment")
 D1_SUITES = ("girsanov", "meancontrol", "concentration", "increment")
 REPORT_CSV_HEADER = ("name", "estimate", "stderr", "lower_bound", "upper_bound", "margin_sigmas", "pass")
-SPREADS_CSV_HEADER = ("quantity", "n", "beta", "alpha_or_na", "value", "stderr", "ess", "M", "R", "seed")
+SPREADS_CSV_HEADER = ("quantity", "n", "beta", "value", "M", "R", "seed")
 
 BALL_ALPHA = 0.75           # makes n^(2*alpha-1) dyadic on the default n values
 BALL_N_VALUES = (9, 16)
@@ -340,7 +340,7 @@ def cmd_fluct_fit(cfg: RunConfig, frame: _Frame) -> int:
         "spreads_median": list(fit.spreads_median), "spreads_mean": list(fit.spreads_mean),
     })
     frame.write("fluct_fit_spreads.csv", SPREADS_CSV_HEADER,
-                [("runmax_spread_median", n, cfg.beta, "na", med, 0.0, math.nan, cfg.M, cfg.R, cfg.seed)
+                [("runmax_spread_median", n, cfg.beta, med, cfg.M, cfg.R, cfg.seed)
                  for n, med in zip(fit.n_grid, fit.spreads_median)])
     frame.summary["xi_hat"] = fit.xi_hat
     return 0

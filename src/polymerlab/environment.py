@@ -9,11 +9,13 @@ value, and everything is a deterministic function of the seed.
 Two backends:
 
 ``exact``
-    Any dimension.  Each slice keeps a cache of already-sampled points and
-    draws new query points conditionally on the cache (sequential Gaussian
-    conditioning with an incrementally updated Cholesky factor and a tiny
-    diagonal jitter).  Exact in law for arbitrary positions; cost grows
-    with the number of cached points, so it suits small query sets.
+    Any dimension.  A slice is drawn jointly at its first query: the
+    distinct query points (-0.0 and 0.0 are one point), one Cholesky factor
+    of their covariance plus a tiny diagonal jitter, and the slice's
+    stream.  Only the points and values are kept; a later query may ask
+    only for points already drawn, and any other point raises
+    ``ValueError``.  Exact in law for arbitrary positions; the cost is cubic
+    in the number of distinct points, so it suits small query sets.
 ``grid``
     d = 1 only.  Synthesizes each slice on the uniform grid
     {-L, -L+h, ..., L} by circulant embedding of the covariance sequence
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,13 +110,16 @@ def tagged_stream(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
-@dataclass
-class _ExactSliceCache:
-    points: np.ndarray          # (m, d) sampled positions
-    values: np.ndarray          # (m,) field values
-    chol: np.ndarray            # (m, m) lower Cholesky of the jittered covariance
-    index: dict = field(default_factory=dict)   # position bytes -> row
-    rng: np.random.Generator = None
+@dataclass(frozen=True)
+class _ExactSlice:
+    points: np.ndarray          # (m, d) distinct drawn positions, with no -0.0
+    values: np.ndarray          # (m,) field values at them
+
+
+def _first_rows(pts: np.ndarray) -> np.ndarray:
+    """Index of the first row equal to each row of ``pts``."""
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]     # NumPy 2.0.0 returns the inverse as a column
 
 
 class EnvironmentHandle:
@@ -135,8 +140,8 @@ class EnvironmentHandle:
 
     The grid backend is safe for concurrent reads once a slice is built;
     slice construction is locked and happens exactly once per (seed, k).
-    The exact backend mutates its cache on every new query point, so use
-    one handle per thread of control.
+    The exact backend draws a slice at its first query without a lock, so
+    use one handle per thread of control.
     """
 
     def __init__(self, seed: int, kernel: KernelSpec, d: int = 1,
@@ -249,63 +254,34 @@ class EnvironmentHandle:
 
     # -- exact backend ---------------------------------------------------
 
-    def _exact_cache(self, k: int) -> _ExactSliceCache:
-        cache = self._slices.get(k)
-        if cache is None:
-            cache = _ExactSliceCache(
-                points=np.empty((0, self.d)), values=np.empty(0),
-                chol=np.empty((0, 0)), rng=tagged_stream(self.seed, _DOMAIN_SLICE, k))
-            self._slices[k] = cache
-        return cache
-
     def _exact_sample(self, k: int, pts: np.ndarray) -> np.ndarray:
-        cache = self._exact_cache(k)
-        rows = np.empty(len(pts), dtype=np.intp)
-        new_pts: list[np.ndarray] = []
-        m = len(cache.points)
-        for i, p in enumerate(pts):
-            key = (p + 0.0).tobytes()   # -0.0 + 0.0 is 0.0: one key per point
-            row = cache.index.get(key)
-            if row is None:
-                row = m + len(new_pts)
-                cache.index[key] = row
-                new_pts.append(p)
-            rows[i] = row
-        if new_pts:
-            new = np.asarray(new_pts)
-            # gamma_matrix returns a fresh array: add the jitter to its diagonal in place.
-            c_nn = gamma_matrix(self.kernel, new)
-            c_nn.flat[::len(new) + 1] += _JITTER * self.sigma2
-            try:
-                # A slice's first query could run through the block update below
-                # with empty factors and give the same bytes, but its zero Schur
-                # correction and the copy into a fresh factor cost about a quarter
-                # more time (14 -> 17 ms for 600 points in d=2, one BLAS thread on
-                # an Intel Xeon core), so it keeps its own branch.
-                if m == 0:
-                    l_new = np.linalg.cholesky(c_nn)
-                    mean = np.zeros(len(new))
-                    chol = l_new
-                else:
-                    c_no = gamma_matrix(self.kernel, new, cache.points)
-                    # a = c_no L^{-T}; schur = c_nn - a a^T
-                    half = np.linalg.solve(cache.chol, cache.values)
-                    a = np.linalg.solve(cache.chol, c_no.T).T
-                    mean = a @ half
-                    l_new = np.linalg.cholesky(c_nn - a @ a.T)
-                    chol = np.zeros((m + len(new),) * 2)
-                    chol[:m, :m] = cache.chol
-                    chol[m:, :m] = a
-                    chol[m:, m:] = l_new
-            except np.linalg.LinAlgError as exc:
-                raise CovarianceConditioningError(
-                    f"slice {k}: covariance of {m + len(new)} query points is numerically "
-                    "non-positive-definite even after jitter") from exc
-            vals = mean + l_new @ cache.rng.standard_normal(len(new))
-            cache.points = np.vstack([cache.points, new])
-            cache.values = np.concatenate([cache.values, vals])
-            cache.chol = chol
-        return cache.values[rows]
+        pts = pts + 0.0     # -0.0 + 0.0 is 0.0: one point
+        drawn = self._slices.get(k)
+        if drawn is not None:
+            m = len(drawn.points)
+            rows = _first_rows(np.concatenate([drawn.points, pts]))[m:]
+            missing = np.flatnonzero(rows >= m)
+            if missing.size:
+                raise ValueError(f"slice {k}: position {pts[missing[0]].tolist()} was not drawn at "
+                                 "the slice's first query; the exact backend draws a slice once")
+            return drawn.values[rows]
+        if not len(pts):
+            return np.empty(0)
+        first = _first_rows(pts)
+        keep = np.flatnonzero(first == np.arange(len(pts)))    # first appearances, in order
+        new = pts[keep]
+        # gamma_matrix returns a fresh array: add the jitter to its diagonal in place.
+        cov = gamma_matrix(self.kernel, new)
+        cov.flat[::len(new) + 1] += _JITTER * self.sigma2
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise CovarianceConditioningError(
+                f"slice {k}: covariance of {len(new)} query points is numerically "
+                "non-positive-definite even after jitter") from exc
+        values = chol @ tagged_stream(self.seed, _DOMAIN_SLICE, k).standard_normal(len(new))
+        self._slices[k] = _ExactSlice(points=new, values=values)
+        return values[np.searchsorted(keep, first)]
 
     # -- common ----------------------------------------------------------
 
@@ -316,9 +292,11 @@ class EnvironmentHandle:
     def sample_slice_at(self, k: int, positions) -> np.ndarray:
         """Field values of slice k at the given positions.
 
-        Jointly with all previously returned values of the slice, the
-        result is a draw from the centred Gaussian vector with covariance
-        [gamma(x_a - x_b)]; repeated positions return cached values.
+        The result is a draw from the centred Gaussian vector with
+        covariance [gamma(x_a - x_b)]; repeated positions return one value.
+        On the exact backend the first query of a slice draws it, and a
+        later query may ask only for positions already drawn, else
+        ``ValueError`` names the slice.
         On the grid backend every position, whether one point or a whole
         ensemble, must lie in [-L, L] (see :meth:`snap`), else
         :class:`GridDomainError` is raised.

@@ -88,8 +88,11 @@ def fluctuation_fit(n_grid, params: GibbsParams, env_seeds,
 
     The spread per (environment, n) is the Gibbs expectation of the
     running max-norm; medians across environments resist weight-degenerate
-    replicas.  The bootstrap resamples environments (replicas are paired
-    across n) and reports a percentile interval on the slope.
+    replicas.  The bootstrap resamples environments and reports a
+    percentile interval on the slope.  A replica shares only its seed
+    across n: with ``L`` None the grid half-width ``suggested_halfwidth(n)``,
+    and with it the field, changes with n, and of the paths only path 0 at
+    one n is a prefix of path 0 at a larger n.
     """
     n_values = sorted(int(n) for n in n_grid)
     if len(set(n_values)) < 4:

@@ -102,13 +102,10 @@ def test_fluct_fit_outputs(tmp_path):
     doc = json.loads((out / "fluct_fit.json").read_text())
     assert set(doc) >= {"xi_hat", "ci_low", "ci_high", "n_grid", "beta", "lambda", "d"}
     spreads = (out / "fluct_fit_spreads.csv").read_text().splitlines()
-    assert spreads[0] == "quantity,n,beta,alpha_or_na,value,stderr,ess,M,R,seed"
+    assert spreads[0] == "quantity,n,beta,value,M,R,seed"
     assert len(spreads) == 1 + 4
     for line, n, median in zip(spreads[1:], doc["n_grid"], doc["spreads_median"]):
-        row = line.split(",")
-        assert len(row) == 10
-        assert row[:7] == ["runmax_spread_median", str(n), "0.0", "na", repr(median), "0.0", "nan"]
-        assert row[7:] == ["200", "6", "77"]
+        assert line.split(",") == ["runmax_spread_median", str(n), "0.0", repr(median), "200", "6", "77"]
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polymerlab.environment import (_DOMAIN_SLICE, CovarianceConditioningError, EnvironmentHandle,
-                                    GridDomainError, SpectralClippingError, covariance_selftest,
-                                    tagged_stream)
-from polymerlab.kernels import KernelSpec
+from polymerlab.environment import (_DOMAIN_SLICE, _JITTER, CovarianceConditioningError,
+                                    EnvironmentHandle, GridDomainError, SpectralClippingError,
+                                    covariance_selftest, tagged_stream)
+from polymerlab.kernels import KernelSpec, _as_points, gamma_matrix
 
 UNIT = KernelSpec()  # normalized exponential, lam=1
+PRODUCT = KernelSpec(kind="product-exponential")
 
 
 def test_requery_returns_cached_value():
@@ -23,13 +26,78 @@ def test_repeated_positions_within_one_call():
     assert vals[0] != vals[2]
 
 
-def test_exact_batching_equals_sequential():
-    one_call = EnvironmentHandle(5, UNIT, backend="exact")
-    split = EnvironmentHandle(5, UNIT, backend="exact")
-    joint = one_call.sample_slice_at(1, [0.0, 1.3])
-    a = split.sample_slice_at(1, [0.0])
-    b = split.sample_slice_at(1, [1.3])
-    assert joint[0] == a[0] and joint[1] == b[0]
+def test_requery_returns_drawn_values_and_rejects_new_points():
+    env = EnvironmentHandle(5, PRODUCT, d=2, backend="exact")
+    first = env.sample_slice_at(1, np.array([[0.0, -0.0], [1.3, 0.2], [-0.4, 2.0]]))
+    again = env.sample_slice_at(1, np.array([[-0.4, 2.0], [-0.0, 0.0], [0.0, 0.0], [1.3, 0.2]]))
+    assert again.tobytes() == first[[2, 0, 0, 1]].tobytes()
+    with pytest.raises(ValueError, match=r"slice 1: position \[1\.3, 0\.0\] was not drawn"):
+        env.sample_slice_at(1, np.array([[0.0, 0.0], [1.3, 0.0]]))
+    assert env._slices[1].values.tobytes() == first.tobytes()
+    # an empty query draws nothing, so the slice's first query is still to come
+    assert env.sample_slice_at(2, np.empty((0, 2))).shape == (0,)
+    assert env.sample_slice_at(2, np.array([[1.3, 0.0]])).shape == (1,)
+
+
+def one_shot_reference(env: EnvironmentHandle, k: int, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct points and values of a slice's first exact query, drawn the former way.
+
+    A dict keyed by each point's bytes after ``+ 0.0`` finds the distinct
+    points; one Cholesky factor of their jittered covariance colours the
+    slice's normals, added to a zero conditional mean.
+    """
+    index, new, rows = {}, [], []
+    for p in _as_points(positions, d=env.d):
+        rows.append(index.setdefault((p + 0.0).tobytes(), len(new)))
+        if rows[-1] == len(new):
+            new.append(p)
+    new = np.asarray(new)
+    cov = gamma_matrix(env.kernel, new)
+    cov.flat[::len(new) + 1] += _JITTER * env.sigma2
+    z = tagged_stream(env.seed, _DOMAIN_SLICE, k).standard_normal(len(new))
+    return new + 0.0, (np.zeros(len(new)) + np.linalg.cholesky(cov) @ z)[rows]
+
+
+def lattice_points(seed: int, count: int, d: int) -> np.ndarray:
+    """Points on a half-integer lattice, so they repeat, with random signs, so zeros are signed."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-3, 4, (count, d)) * 0.5 * rng.choice([-1.0, 1.0], (count, d))
+
+
+@pytest.mark.parametrize("d, kernel, positions", [
+    (1, UNIT, [0.0, -0.0, 1.3, 0.2, 1.3, -0.0, -2.5]),
+    (1, UNIT, lattice_points(1, 60, 1)),
+    (2, PRODUCT, [[0.0, -0.0], [-0.0, 0.0], [0.5, -0.5], [0.0, 0.0], [0.5, -0.5], [-0.0, -0.0]]),
+    (2, PRODUCT, lattice_points(2, 300, 2)),
+    (2, KernelSpec(kind="squared-exponential"), lattice_points(3, 40, 2)),
+    (3, PRODUCT, lattice_points(4, 300, 3)),
+])
+def test_first_query_bytes_match_the_one_shot_reference(d, kernel, positions):
+    pts = _as_points(positions, d=d)
+    assert np.signbit(pts).any() and len(np.unique(pts + 0.0, axis=0)) < len(pts)
+    for k in (1, 7):
+        env = EnvironmentHandle(40 + d, kernel, d=d, backend="exact")
+        want_points, want = one_shot_reference(env, k, pts)
+        got = env.sample_slice_at(k, pts)
+        assert got.tobytes() == want.tobytes()
+        assert env._slices[k].points.tobytes() == want_points.tobytes()
+
+
+def test_exact_slices_keep_no_covariance_factor():
+    # 16 slices of 600 distinct d = 2 points: a kept 600 x 600 factor per
+    # slice would hold 44 MiB, the points and values hold 0.2 MiB
+    pts = np.random.default_rng(0).uniform(-10.0, 10.0, (600, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        env = EnvironmentHandle(3, PRODUCT, d=2, backend="exact")
+        for k in range(1, 17):
+            env.sample_slice_at(k, pts)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(env._slices) == 16
+    assert kept < 600 * 600 * 8
 
 
 def test_seed_determinism_and_distinctness():
@@ -229,9 +297,6 @@ def test_signed_zero_is_one_exact_point():
     second = two_calls.sample_slice_at(1, [-0.0])
     assert first[0] == second[0] == both[0]
     assert len(two_calls._slices[1].points) == 1
-
-
-PRODUCT = KernelSpec(kind="product-exponential")
 
 
 @pytest.mark.parametrize("call, match", [

@@ -220,12 +220,10 @@ def test_annealed_identity_small_horizon():
 def test_estimate_schema_row(tmp_path):
     est = GibbsEstimate(value=1.25, stderr=0.01, M=1000, ess=900.0)
     path = tmp_path / "spreads.csv"
-    _write_csv(path, SPREADS_CSV_HEADER,
-               [("logZ", 16, 0.5, "na", est.value, est.stderr, est.ess, est.M, 50, 42)])
+    _write_csv(path, SPREADS_CSV_HEADER, [("logZ", 16, 0.5, est.value, est.M, 50, 42)])
     header, row = (line.split(",") for line in path.read_text().splitlines())
-    assert len(row) == len(header) == len(SPREADS_CSV_HEADER)
-    assert row[3] == "na"
-    assert row[4] == repr(1.25)
+    assert header == ["quantity", "n", "beta", "value", "M", "R", "seed"]
+    assert row == ["logZ", "16", "0.5", repr(1.25), "1000", "50", "42"]
 
 
 def test_gibbs_estimate_invariants():
