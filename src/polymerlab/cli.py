@@ -195,12 +195,7 @@ def _suite_concentration(cfg: RunConfig) -> list[BoundCheckReport]:
 def _suite_increment(cfg: RunConfig) -> list[BoundCheckReport]:
     n = INCREMENT_N
     params = GibbsParams(beta=cfg.beta, M=min(cfg.M, 2000))
-    reports = []
-    for i in range(1, n + 1):
-        result = martingale_increment_probe(n, n, i, params, cfg.seed, kernel=cfg.kernel,
-                                            h=cfg.h, L=cfg.L)
-        reports.append(result.report)
-    return reports
+    return martingale_increment_probe(n, n, params, cfg.seed, kernel=cfg.kernel, h=cfg.h, L=cfg.L)
 
 
 _SUITE_RUNNERS = {

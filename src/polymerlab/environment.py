@@ -25,8 +25,13 @@ Two backends:
     rather than being clamped to the boundary node, and
     :func:`suggested_halfwidth` gives an L that covers n-step paths.
     Cheap for large ensembles.  :meth:`EnvironmentHandle.synthesize` is
-    the one routine that turns complex normals into grid fields; slices
-    and any extra redraws of the same field law go through it.
+    the one routine that turns standard normals into grid fields; slices
+    and any extra redraws of the same field law go through it.  It takes
+    n_circ real normals per field, the size of the circulant embedding,
+    and makes them the Hermitian half of a random spectrum: modes 0 and
+    n_circ/2 are real, each other mode is (a + ib)/sqrt(2).  One inverse
+    real FFT then gives a field with exactly the embedded covariance
+    (Dietrich-Newsam 1997; Wood-Chan 1994), so no draw is thrown away.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, domain-tag, index), so slice k's stream never depends on query
@@ -180,9 +185,11 @@ class EnvironmentHandle:
     # -- grid backend ----------------------------------------------------
 
     def _spectrum(self) -> np.ndarray:
-        # sqrt of circulant eigenvalues times sqrt(n_circ), computed once;
-        # negative eigenvalues are clipped to zero and the clipped fraction
-        # recorded.
+        # The scale of each of synthesize's n_circ normals, computed once:
+        # sqrt(lambda_j * n_circ) for the real modes j = 0 and n_circ/2, and
+        # sqrt(lambda_j * n_circ / 2) for the real and the imaginary part of
+        # each other mode.  Negative circulant eigenvalues lambda_j are
+        # clipped to zero and the clipped fraction recorded.
         if self._scaled_spectrum is not None:
             return self._scaled_spectrum
         n = self.n_nodes
@@ -198,12 +205,33 @@ class EnvironmentHandle:
             raise SpectralClippingError(
                 f"circulant embedding clipped {frac:.3e} of spectral mass (> {_CLIP_TOLERANCE}); "
                 "enlarge L or shrink the kernel length scale")
-        self._scaled_spectrum = np.sqrt(np.clip(eig, 0.0, None)) * np.sqrt(self.n_circ)
+        m = self.n_circ
+        power = np.clip(eig[:m // 2 + 1], 0.0, None) * m
+        power[1:(m + 1) // 2] /= 2
+        self._scaled_spectrum = np.sqrt(np.repeat(power, 2)[1:m + 1])
         return self._scaled_spectrum
 
     def synthesize(self, z: np.ndarray) -> np.ndarray:
-        """Grid fields from complex standard normals ``z`` of shape (..., n_circ)."""
-        return np.fft.ifft(self._spectrum() * z, axis=-1).real[..., :self.n_nodes]
+        """Grid fields from real standard normals ``z`` of shape (..., n_circ).
+
+        Per field, normal 0 is the real mode 0, normals 2j - 1 and 2j are the
+        real and imaginary parts of mode j for 0 < j < n_circ/2, and the last
+        normal is the real mode n_circ/2.  The result is the inverse real
+        FFT of that scaled half-spectrum, cut to the grid's n_nodes.
+        Complex or wrongly shaped normals raise ``ValueError``; ``z`` is
+        not modified.
+        """
+        z = np.asarray(z)
+        if np.iscomplexobj(z) or z.ndim == 0 or z.shape[-1] != self.n_circ:
+            raise ValueError(f"synthesize takes real standard normals of shape "
+                             f"(..., {self.n_circ}), got {z.dtype} of shape {z.shape}")
+        m = self.n_circ
+        scale = self._spectrum()
+        half = np.zeros((*z.shape[:-1], m // 2 + 1), dtype=complex)
+        parts = half.view(float)    # Re 0, Im 0, Re 1, ...: Im 0 and Im n_circ/2 stay 0
+        np.multiply(z[..., :1], scale[:1], out=parts[..., :1])
+        np.multiply(z[..., 1:], scale[1:], out=parts[..., 2:m + 1])
+        return np.fft.irfft(half, n=m, axis=-1)[..., :self.n_nodes]
 
     def build_grid_slice(self, k: int) -> np.ndarray:
         """Synthesize (or fetch) the field on the grid for slice k."""
@@ -217,13 +245,10 @@ class EnvironmentHandle:
             got = self._slices.get(k)
             if got is not None:
                 return got
-            rng = tagged_stream(self.seed, _DOMAIN_SLICE, k)
-            z = np.empty(self.n_circ, dtype=complex)
-            z.real = rng.standard_normal(self.n_circ)
-            z.imag = rng.standard_normal(self.n_circ)
-            # a contiguous copy: synthesize's strided view would keep the
-            # whole complex ifft buffer alive behind the cached values
-            values = np.ascontiguousarray(self.synthesize(z))
+            z = tagged_stream(self.seed, _DOMAIN_SLICE, k).standard_normal(self.n_circ)
+            # a copy: synthesize's view would keep the whole n_circ inverse
+            # FFT buffer alive behind the cached values
+            values = self.synthesize(z).copy()
             values.flags.writeable = False
             self._slices[k] = values
             return values

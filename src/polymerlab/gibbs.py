@@ -152,14 +152,16 @@ def gibbs_expect(beta: float, h: np.ndarray, f) -> GibbsEstimate:
     """Self-normalized estimate of the Gibbs expectation of a path functional.
 
     ``f`` holds the functional's value on each path, shaped like the
-    Hamiltonians ``h``.  Indicator-valued functionals are clipped to [0, 1]
-    against floating-point drift.
+    Hamiltonians ``h``.  The weighted sum is divided by the weights' own
+    sum, taken with the same dot product, so the all-ones functional gives
+    exactly 1.  Indicator-valued functionals are clipped to [0, 1] against
+    floating-point drift.
     """
     f_vals = np.asarray(f, dtype=float)
     if f_vals.shape != h.shape:
         raise ValueError(f"functional has shape {f_vals.shape}, expected {h.shape}")
     w_bar, ess, _ = _normalized_log_weights(beta * h)
-    value = float(w_bar @ f_vals)
+    value = float(w_bar @ f_vals) / float(w_bar @ np.ones_like(w_bar))
     resid = f_vals - value
     stderr = float(np.sqrt(np.sum((w_bar * resid) ** 2)))
     if np.all((f_vals == 0.0) | (f_vals == 1.0)):

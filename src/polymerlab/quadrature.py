@@ -32,7 +32,7 @@ import numpy as np
 from .environment import _JITTER, CovarianceConditioningError
 
 MAX_GRID_POINTS = 40_000_000
-MC_CHUNK = 200_000              # Monte Carlo draws (or increment-probe normals) per batch
+MC_CHUNK = 200_000              # Monte Carlo draws (or increment-probe normals or product entries) per batch
 GH_BATCH_ENTRIES = 50_000       # node coordinates (k nodes x m) per quadrature batch
 
 

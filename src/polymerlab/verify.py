@@ -27,8 +27,7 @@ from .walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_pa
 
 _DOMAIN_ORACLE = 3
 _DOMAIN_PROBE_OUTER = 4
-_DOMAIN_PROBE_INNER_HI = 5
-_DOMAIN_PROBE_INNER_LO = 6
+_DOMAIN_PROBE_INNER = 5
 MEAN_CONTROL_MIN_ALPHA = 0.5        # suite hypotheses, also checked before any suite runs:
 CONCENTRATION_MIN_R = 200           # mean control needs alpha > 1/2, concentration R >= 200
 
@@ -385,129 +384,141 @@ def concentration_scan(params: GibbsParams, nu: float, n_grid, env_seeds,
 # -- martingale increment probe -----------------------------------------------
 
 
-def _draw_batches(template: EnvironmentHandle, idx: np.ndarray, seed: int, domain: int,
-                  count: int, slices: list[int]):
-    """Fresh draws of the given slices gathered onto fixed paths, batch by batch.
+def _draw_batches(template: EnvironmentHandle, nodes: np.ndarray, rng: np.random.Generator,
+                  count: int):
+    """``count`` fresh draws of one grid slice gathered at ``nodes``, batch by batch.
 
-    Yields (draw range, (draws, len(slices), M) gathered values) for
-    consecutive ranges covering [0, count), each synthesized from about
-    ``MC_CHUNK`` complex normals.  Draw r takes its normals from
-    ``tagged_stream(seed, domain, r)``, real parts first; ``idx[k - 1]``
-    holds the paths' grid nodes on slice k.
+    Yields (draw range, (draws, len(nodes)) values) for consecutive ranges
+    covering [0, count), each synthesized from about ``MC_CHUNK`` normals.
+    Draw r takes the r-th n_circ normals of ``rng``, so the values do not
+    depend on the batch size.
     """
-    shape = (len(slices), template.n_circ)
-    batches = _batches(count, max(1, MC_CHUNK // (shape[0] * shape[1])))
-    size = max(draws.stop - draws.start for draws in batches)
-    rows = np.arange(len(slices))[:, None]
-    nodes = idx[np.asarray(slices) - 1]                     # (len(slices), M)
-    z = np.empty((size, *shape), dtype=complex)
+    batches = _batches(count, max(1, MC_CHUNK // template.n_circ))
+    z = np.empty((max(draws.stop - draws.start for draws in batches), template.n_circ))
     for draws in batches:
-        k = draws.stop - draws.start
-        for b in range(k):
-            rng = tagged_stream(seed, domain, draws.start + b)
-            z[b].real = rng.standard_normal(shape)
-            z[b].imag = rng.standard_normal(shape)
-        yield draws, template.synthesize(z[:k])[:, rows, nodes]
+        batch = z[:draws.stop - draws.start]
+        rng.standard_normal(out=batch)
+        yield draws, template.synthesize(batch)[:, nodes]
 
 
-@dataclass(frozen=True)
-class IncrementProbeResult:
-    report: BoundCheckReport
-    estimate_inner: float       # nested estimate at n_inner
-    estimate_doubled: float     # nested estimate at 2 * n_inner
-    # report.estimate is the linear extrapolation 2*doubled - inner
+def _conditional_log_w(n: int, j: int, params: GibbsParams, seed: int, kernel: KernelSpec,
+                       n_outer: int, n_inner: int, h: float | None, L: float | None,
+                       f_radius: float | None, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[log W | F_i] per outer draw, for i = 0..n, from n_inner and from 2*n_inner inner draws.
+
+    Returns two (n + 1, n_outer) arrays.  W = M^-1 sum_m f_m exp(beta H_m)
+    over one fixed ensemble of ``params.M`` walks, with f the indicator of
+    |S_j| <= ``f_radius`` and H summed over slices 1..``horizon``; F_i
+    reveals slices 1..i.  One outer set of ``n_outer`` draws and one inner
+    set of 2*n_inner draws, of every slice, serve every i: per outer draw
+    r, E[log W | F_i] is the mean over inner draws q of log(u_i[r] . v_i[q])
+    - log M, where u_i holds exp(beta * outer slices 1..i) and v_i
+    exp(beta * inner slices i+1..horizon) on the paths inside f.  Slice k
+    of every draw of a set comes from one stream, tagged by the set and k,
+    so a slice can be drawn alone and again.
+
+    i walks upward.  u folds in outer slice i at step i; v starts as the
+    product over every inner slice and divides inner slice i out again,
+    so the draws are held as one (n_outer, M) and one (2*n_inner, M)
+    array.  u_i v_i^T is taken a block of about ``MC_CHUNK`` entries at a
+    time, and each log is taken relative to log sum_m u_i[r], so beta = 0
+    gives every mean exactly.
+    """
+    beta = params.beta
+    template = EnvironmentHandle(seed, kernel, d=1, backend="grid", h=h,
+                                 L=L if L is not None else suggested_halfwidth(n))
+    paths = sample_paths(seed, params.M, n, 1)
+    inside = np.abs(paths.positions[:, j - 1, 0]) <= (f_radius if f_radius is not None
+                                                       else 2.0 * math.sqrt(j))
+    if not inside.any():
+        raise ValueError("probe functional has zero sampled mass; enlarge f_radius")
+    nodes = np.stack([template.snap(paths.positions[:, kk, :]) for kk in range(n)])[:, inside]
+    log_m = math.log(params.M)
+
+    def fold(weights: np.ndarray, k: int, domain: int, sign: float) -> None:
+        """Multiply each row by exp(sign * beta * its draw of slice k)."""
+        for draws, g in _draw_batches(template, nodes[k - 1], tagged_stream(seed, domain, k),
+                                      len(weights)):
+            weights[draws] *= np.exp(np.multiply(g, sign * beta, out=g), out=g)
+
+    def inner_means(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_norm = np.log(u.sum(axis=1))
+        sums = []
+        for offset in (0, n_inner):
+            total = np.zeros(len(u))
+            for rows in _batches(n_inner, max(1, MC_CHUNK // len(u))):
+                log_w = np.log(u @ v[offset + rows.start:offset + rows.stop].T)
+                log_w -= log_norm[:, None]
+                total += log_w.sum(axis=1)
+            sums.append(total)
+        base = log_norm - log_m
+        return base + sums[0] / n_inner, base + (sums[0] + sums[1]) / (2 * n_inner)
+
+    e_half, e_full = np.empty((n + 1, n_outer)), np.empty((n + 1, n_outer))
+    u = np.ones((n_outer, int(inside.sum())))
+    v = np.ones((2 * n_inner, u.shape[1]))
+    for k in range(1, horizon + 1):
+        fold(v, k, _DOMAIN_PROBE_INNER, 1.0)
+    for i in range(horizon + 1):
+        if i:
+            fold(u, i, _DOMAIN_PROBE_OUTER, 1.0)
+        if i == horizon:        # nothing left to integrate out, here or at any later i
+            e_half[i:] = e_full[i:] = np.log(u.sum(axis=1)) - log_m
+            break
+        if i:
+            fold(v, i, _DOMAIN_PROBE_INNER, -1.0)
+        # at i = 0 every outer row is all ones: one row serves them all
+        e_half[i], e_full[i] = inner_means(u if i else u[:1], v)
+    return e_half, e_full
 
 
-def martingale_increment_probe(n: int, j: int, i: int, params: GibbsParams, seed: int,
+def martingale_increment_probe(n: int, j: int, params: GibbsParams, seed: int,
                                kernel: KernelSpec = KernelSpec(),
                                n_outer: int = 2000, n_inner: int = 2000,
                                h: float | None = None, L: float | None = None,
                                f_radius: float | None = None,
-                               horizon: int | None = None) -> IncrementProbeResult:
-    """Nested Monte Carlo bound check for one martingale increment.
+                               horizon: int | None = None) -> list[BoundCheckReport]:
+    """Nested Monte Carlo checks of the martingale increments of log W.
 
-    The increment compares conditional means of log W when slice i is
-    revealed: outer draws realize slices 1..i, inner redraws integrate the
-    remaining slices out, and the exponential moment of the increment is
-    checked against K.  The path expectation inside W reuses one fixed
-    ensemble of ``params.M`` walks; the two conditional means share it, so
-    its sampling error largely cancels in the difference.  Inner redraws
-    are shared across outer draws (the conditional means become one matrix
-    product per side), and the remaining nested bias is removed by linear
-    extrapolation from n_inner to 2*n_inner.
+    Delta_i = E[log W | F_i] - E[log W | F_{i-1}], i = 1..n, is the change
+    in the conditional mean of log W when slice i is revealed (see
+    :func:`_conditional_log_w` for W, the draws and the conditional means).
+    Per i, the exponential moment E exp|Delta_i| is checked against the
+    bound K; its nested bias is removed by linear extrapolation from
+    n_inner to 2*n_inner inner draws.  The increments are orthogonal, so
+    sum_i E[Delta_i^2] = Var log W exactly; the last report checks that
+    difference against 0, with the same extrapolation for Delta_i^2 and
+    Var log W taken from the outer draws' own log W = E[log W | F_n].
+    The path expectation inside W reuses one fixed ensemble of
+    ``params.M`` walks for every draw, so its sampling error largely
+    cancels in the increments.
 
-    Draws are synthesized and gathered in batches of about ``MC_CHUNK``
-    complex normals, and that matrix product is taken and log-reduced a block of
-    about ``MC_CHUNK`` entries at a time, so the (n_outer, 2*n_inner)
-    matrix is never held whole.  Every batch of draws is summed over its
-    slices as it arrives, so memory scales with the two (n_outer, M)
-    conditional sums of the outer draws and the (2*n_inner, M) inner
-    weights, not with i or with the inner slice count.
+    Returns n ``increment_probe`` reports in order of i, then the
+    ``increment_orthogonality`` report.
     """
-    if not (1 <= j <= n and 1 <= i <= n):
-        raise ValueError("need 1 <= i, j <= n")
+    if not 1 <= j <= n:
+        raise ValueError("need 1 <= j <= n")
     if n_outer < 2 or n_inner < 1:
         raise ValueError("need n_outer >= 2 (for a standard error) and n_inner >= 1")
-    if n > 6:
-        raise ValueError("the nested probe is restricted to n <= 6")
     horizon = n if horizon is None else horizon
     if not 0 <= horizon <= n:
         raise ValueError("horizon must lie in [0, n]")
-    beta = params.beta
-    L_eff = L if L is not None else suggested_halfwidth(n)
-    template = EnvironmentHandle(seed, kernel, d=1, backend="grid", h=h, L=L_eff)
-
-    paths = sample_paths(seed, params.M, n, 1)
-    idx = np.stack([template.snap(paths.positions[:, kk, :]) for kk in range(n)])  # (n, M)
-    radius = f_radius if f_radius is not None else 2.0 * math.sqrt(j)
-    f_vals = (np.abs(paths.positions[:, j - 1, 0]) <= radius)
-    if not f_vals.any():
-        raise ValueError("probe functional has zero sampled mass; enlarge f_radius")
-    f_vals = f_vals.astype(float)
-
-    lo, hi = np.empty((n_outer, params.M)), np.empty((n_outer, params.M))  # slices 1..i-1, 1..i, cut at horizon
-    for draws, gathered in _draw_batches(template, idx, seed, _DOMAIN_PROBE_OUTER, n_outer,
-                                         list(range(1, i + 1))):
-        gathered[:, :min(i - 1, horizon)].sum(axis=1, out=lo[draws])
-        gathered[:, :min(i, horizon)].sum(axis=1, out=hi[draws])
-
-    def side(base: np.ndarray, revealed: int, domain: int) -> tuple[np.ndarray, np.ndarray]:
-        """E[log W | F_revealed] per outer draw, from n_inner and 2*n_inner inner redraws.
-
-        ``base``, the outer draws summed over the revealed slices, becomes
-        the (O, M) weights f * exp(beta * base) in place.
-        """
-        u = np.exp(np.multiply(base, beta, out=base), out=base)
-        u *= f_vals
-        fresh = list(range(revealed + 1, horizon + 1))
-        if not fresh:
-            vals = np.log(u.sum(axis=1)) - math.log(params.M)
-            return vals, vals
-        v = np.empty((2 * n_inner, params.M))               # summed over slices per batch
-        for draws, gathered in _draw_batches(template, idx, seed, domain, 2 * n_inner, fresh):
-            v[draws] = gathered.sum(axis=1)
-        v *= beta
-        v = np.exp(v, out=v).T                               # (M, 2R)
-        half, full = np.empty(len(u)), np.empty(len(u))
-        for rows in _batches(len(u), max(1, MC_CHUNK // (2 * n_inner))):
-            log_w = np.log(u[rows] @ v) - math.log(params.M)    # (rows, 2R)
-            half[rows] = log_w[:, :n_inner].mean(axis=1)
-            full[rows] = log_w.mean(axis=1)
-        return half, full
-
-    e_hi_half, e_hi_full = side(hi, i, _DOMAIN_PROBE_INNER_HI)
-    e_lo_half, e_lo_full = side(lo, i - 1, _DOMAIN_PROBE_INNER_LO)
-
-    inc_half = np.exp(np.abs(e_hi_half - e_lo_half))
-    inc_full = np.exp(np.abs(e_hi_full - e_lo_full))
-    extrapolated = 2.0 * inc_full - inc_half
-    estimate = float(extrapolated.mean())
-    stderr = float(extrapolated.std(ddof=1) / math.sqrt(n_outer))
-    constants = BoundConstants(beta=beta, sigma2=kernel.sigma2(1))
-    report = make_report(
-        f"increment_probe(n={n},j={j},i={i},beta={beta:g})",
-        estimate, stderr, upper=constants.K,
-        notes=f"inner={n_inner},outer={n_outer},M={params.M}")
-    return IncrementProbeResult(report=report,
-                                estimate_inner=float(inc_half.mean()),
-                                estimate_doubled=float(inc_full.mean()))
+    e_half, e_full = _conditional_log_w(n, j, params, seed, kernel, n_outer, n_inner, h, L,
+                                        f_radius, horizon)
+    d_half, d_full = np.diff(e_half, axis=0), np.diff(e_full, axis=0)     # (n, n_outer)
+    notes = f"inner={n_inner},outer={n_outer},M={params.M}"
+    upper = BoundConstants(beta=params.beta, sigma2=kernel.sigma2(1)).K
+    reports = []
+    for i in range(1, n + 1):
+        extrapolated = 2.0 * np.exp(np.abs(d_full[i - 1])) - np.exp(np.abs(d_half[i - 1]))
+        reports.append(make_report(
+            f"increment_probe(n={n},j={j},i={i},beta={params.beta:g})", float(extrapolated.mean()),
+            float(extrapolated.std(ddof=1) / math.sqrt(n_outer)), upper=upper, notes=notes))
+    # sum_i Delta_i = log W - E log W per outer draw, so its spread is Var log W
+    total = d_full.sum(axis=0)
+    gap = ((2.0 * d_full**2 - d_half**2).sum(axis=0)
+           - n_outer / (n_outer - 1) * (total - total.mean())**2)
+    reports.append(make_report(f"increment_orthogonality(n={n})", float(gap.mean()),
+                               float(gap.std(ddof=1) / math.sqrt(n_outer)), lower=0.0, upper=0.0,
+                               notes=notes))
+    return reports

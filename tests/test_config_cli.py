@@ -325,16 +325,16 @@ def test_verify_increment_rows_are_the_probe_reports(tmp_path):
     assert main(["verify", "increment", "--config", path, "--out", str(out)]) in (0, 1)
     cfg = load_config(path)
     params = GibbsParams(beta=cfg.beta, M=min(cfg.M, 2000))
-    expected = []
-    for i in range(1, 5):
-        r = martingale_increment_probe(4, 4, i, params, cfg.seed, kernel=cfg.kernel,
-                                       h=cfg.h, L=cfg.L).report
-        expected.append([cli._fmt(v) for v in (r.name, r.estimate, r.stderr, r.lower_bound,
-                                                r.upper_bound, r.margin_sigmas, r.passed)])
+    expected = [[cli._fmt(v) for v in (r.name, r.estimate, r.stderr, r.lower_bound, r.upper_bound,
+                                       r.margin_sigmas, r.passed)]
+                for r in martingale_increment_probe(4, 4, params, cfg.seed, kernel=cfg.kernel,
+                                                    h=cfg.h, L=cfg.L)]
     with open(out / "verify_increment.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(cli.REPORT_CSV_HEADER) and rows[1:] == expected
-    assert json.loads((out / "verify_summary.json").read_text())["increment"]["checks"] == 4
+    assert [row[0] for row in rows[1:]] == [f"increment_probe(n=4,j=4,i={i},beta={cfg.beta:g})"
+                                            for i in range(1, 5)] + ["increment_orthogonality(n=4)"]
+    assert json.loads((out / "verify_summary.json").read_text())["increment"]["checks"] == 5
 
 
 D2_EXACT = {"d": 2, "kernel": {"kind": "product-exponential"}, "backend": {"kind": "exact"}}

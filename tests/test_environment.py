@@ -6,7 +6,7 @@ import pytest
 from polymerlab.environment import (_DOMAIN_SLICE, _JITTER, CovarianceConditioningError,
                                     EnvironmentHandle, GridDomainError, SpectralClippingError,
                                     covariance_selftest, tagged_stream)
-from polymerlab.kernels import KernelSpec, _as_points, gamma_matrix
+from polymerlab.kernels import KernelSpec, _as_points, gamma_eval, gamma_matrix
 
 UNIT = KernelSpec()  # normalized exponential, lam=1
 PRODUCT = KernelSpec(kind="product-exponential")
@@ -136,23 +136,80 @@ def test_cached_grid_slice_is_a_contiguous_copy():
     env = EnvironmentHandle(21, UNIT, backend="grid", h=0.1, L=5.0)
     values = env.build_grid_slice(3)
     assert values.flags.c_contiguous and not values.flags.writeable
-    assert values.nbytes == 8 * env.n_nodes
-    rng = tagged_stream(21, _DOMAIN_SLICE, 3)
-    z = rng.standard_normal(env.n_circ) + 1j * rng.standard_normal(env.n_circ)
+    assert values.nbytes == 8 * env.n_nodes and values.base is None
+    z = tagged_stream(21, _DOMAIN_SLICE, 3).standard_normal(env.n_circ)
     assert values.tobytes() == env.synthesize(z).tobytes()
 
 
 @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
 def test_synthesize_matches_plain_ifft_and_keeps_z(batch):
+    # the half-spectrum by hand: normal 0 is mode 0, normals 2j-1 and 2j the
+    # real and imaginary parts of mode j, the last normal mode n_circ/2
     env = EnvironmentHandle(21, UNIT, backend="grid", h=0.1, L=5.0)
+    m = env.n_circ
     rng = np.random.default_rng(len(batch))
-    z = rng.standard_normal((*batch, env.n_circ)) + 1j * rng.standard_normal((*batch, env.n_circ))
+    z = rng.standard_normal((*batch, m))
     before = z.copy()
-    want = np.fft.ifft(env._spectrum() * z).real[..., :env.n_nodes]
+    scaled = z * env._spectrum()
+    half = np.zeros((*batch, m // 2 + 1), dtype=complex)
+    half[..., 0] = scaled[..., 0]
+    half[..., 1:m // 2] = scaled[..., 1:m - 1:2] + 1j * scaled[..., 2:m - 1:2]
+    half[..., m // 2] = scaled[..., m - 1]
+    want = np.fft.irfft(half, n=m)[..., :env.n_nodes]
     got = env.synthesize(z)
     assert got.shape == (*batch, env.n_nodes)
     assert got.tobytes() == want.tobytes()
     assert z.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("normals", [
+    lambda m: np.zeros(m, dtype=complex),
+    lambda m: np.zeros((2, m), dtype=complex),
+    lambda m: np.zeros(m + 1),
+    lambda m: np.zeros((m, 2)),
+    lambda m: np.float64(0.0),
+])
+def test_synthesize_rejects_complex_or_misshaped_normals(normals):
+    env = EnvironmentHandle(21, UNIT, backend="grid", h=0.1, L=5.0)
+    with pytest.raises(ValueError, match="real standard normals"):
+        env.synthesize(normals(env.n_circ))
+
+
+@pytest.mark.parametrize("L", [0.0, 0.05, 0.1, 5.0])
+def test_synthesized_covariance_matches_the_kernel_at_small_lags(L):
+    # n_nodes = 1, 2, 3 and 101 at h = 0.1; 40,000 fields per lag
+    env = EnvironmentHandle(4, UNIT, backend="grid", h=0.1, L=L)
+    draws = 40_000
+    fields = env.synthesize(np.random.default_rng(5).standard_normal((draws, env.n_circ)))
+    for lag in range(min(6, env.n_nodes)):
+        target = float(gamma_eval(UNIT, np.array([[0.1 * lag]]))[0])
+        emp = float(np.mean(fields[:, 0] * fields[:, lag]))
+        se = np.sqrt((UNIT.sigma2(1) ** 2 + target**2) / draws)
+        assert abs(emp - target) < 4 * se, (env.n_nodes, lag, emp, target)
+
+
+def _stream_state(rng: np.random.Generator) -> tuple:
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+def test_grid_slice_consumes_exactly_n_circ_normals(monkeypatch):
+    streams = []
+
+    def recording(*tag):
+        streams.append(tagged_stream(*tag))
+        return streams[-1]
+
+    monkeypatch.setattr("polymerlab.environment.tagged_stream", recording)
+    env = EnvironmentHandle(8, UNIT, backend="grid", h=0.1, L=5.0)
+    env.build_grid_slice(2)
+    reference = tagged_stream(8, _DOMAIN_SLICE, 2)
+    reference.standard_normal(env.n_circ)
+    assert len(streams) == 1
+    assert _stream_state(streams[0]) == _stream_state(reference)
+    reference.standard_normal(1)
+    assert _stream_state(streams[0]) != _stream_state(reference)
 
 
 def test_single_node_grid_is_plain_gaussian():

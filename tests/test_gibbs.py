@@ -111,6 +111,14 @@ def test_gibbs_expect_self_normalization_and_beta_zero():
     assert 1.0 <= flat.ess <= 500.0
 
 
+def test_gibbs_expect_of_ones_is_exactly_one_at_every_seed():
+    paths = sample_paths(3, 500, 4, 1)
+    for seed in range(40):
+        h = hamiltonian(EnvironmentHandle(seed, UNIT, backend="grid", h=0.1, L=10.0), paths)
+        ones = gibbs_expect(0.7, h, np.ones(500))
+        assert ones.value == 1.0 and ones.stderr == 0.0, seed
+
+
 def test_gibbs_expect_indicator_quadrature_oracle():
     # n=1 on a coarse 19-node grid (h=1, L=9) that covers every path; the
     # oracle integrates the exact N(0,1) density against the snapped field

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from polymerlab.environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
-from polymerlab.gibbs import GibbsParams, ReplicaError
+from polymerlab.gibbs import GibbsParams, ReplicaError, hamiltonian
 from polymerlab.kernels import KernelSpec
-from polymerlab.verify import (BoundConstants, ExpoIneqCase, IncrementProbeResult, _draw_batches,
+from polymerlab.quadrature import _logsumexp
+from polymerlab.verify import (BoundConstants, ExpoIneqCase, _conditional_log_w, _draw_batches,
                                _tilted_log_mass, ball_bound_test, check_expo_ineq,
                                check_log_moment_bounds, concentration_bound, concentration_scan,
                                girsanov_identity_test, make_report, martingale_increment_probe,
@@ -261,88 +262,90 @@ def test_replica_fan_outs_name_the_failed_replica():
 
 
 def test_probe_vanishing_beta_control():
-    res = martingale_increment_probe(4, 4, 2, GibbsParams(beta=1e-3, M=800), seed=21,
-                                     n_outer=400, n_inner=400)
-    assert abs(res.report.estimate - 1.0) < 0.01
+    reports = martingale_increment_probe(4, 4, GibbsParams(beta=1e-3, M=800), seed=21,
+                                         n_outer=400, n_inner=400)
+    assert all(abs(r.estimate - 1.0) < 0.01 for r in reports[:4])
 
 
 def test_probe_measurability_gives_exact_zero_increment():
-    # W truncated to slices <= j with i > j: revealing slice i changes nothing
-    res = martingale_increment_probe(4, 2, 3, GibbsParams(beta=0.5, M=300), seed=3,
-                                     n_outer=100, n_inner=100, horizon=2)
-    assert res.report.estimate == 1.0 and res.report.stderr == 0.0
-    res0 = martingale_increment_probe(4, 2, 3, GibbsParams(beta=0.0, M=300), seed=3,
+    # W truncated to slices <= 2: revealing slice 3 or 4 changes nothing
+    reports = martingale_increment_probe(4, 2, GibbsParams(beta=0.5, M=300), seed=3,
+                                         n_outer=100, n_inner=100, horizon=2)
+    assert all(r.estimate == 1.0 and r.stderr == 0.0 for r in reports[2:4])
+    # at beta = 0 no slice enters W: every increment and the orthogonality gap vanish exactly
+    flat = martingale_increment_probe(4, 2, GibbsParams(beta=0.0, M=300), seed=3,
                                       n_outer=100, n_inner=100)
-    assert res0.report.estimate == 1.0
+    assert [(r.estimate, r.stderr) for r in flat] == [(1.0, 0.0)] * 4 + [(0.0, 0.0)]
+    assert all(r.passed for r in flat)
 
 
 def test_probe_bound_check_and_determinism():
     params = GibbsParams(beta=0.5, M=500)
-    res1 = martingale_increment_probe(4, 4, 2, params, seed=9, n_outer=300, n_inner=300)
-    res2 = martingale_increment_probe(4, 4, 2, params, seed=9, n_outer=300, n_inner=300)
+    res1 = martingale_increment_probe(4, 4, params, seed=9, n_outer=300, n_inner=300)
+    res2 = martingale_increment_probe(4, 4, params, seed=9, n_outer=300, n_inner=300)
     assert res1 == res2
-    assert res1.report.upper_bound == pytest.approx(BoundConstants(0.5, 1.0).K)
-    assert res1.report.passed
+    assert [r.name for r in res1] == [f"increment_probe(n=4,j=4,i={i},beta=0.5)"
+                                      for i in range(1, 5)] + ["increment_orthogonality(n=4)"]
+    assert all(r.upper_bound == pytest.approx(BoundConstants(0.5, 1.0).K) for r in res1[:4])
+    assert res1[4].lower_bound == res1[4].upper_bound == 0.0
+    assert all(r.passed for r in res1)
 
 
 def test_probe_validation():
     params = GibbsParams(beta=0.5, M=50)
     with pytest.raises(ValueError):
-        martingale_increment_probe(8, 4, 2, GibbsParams(beta=0.5, M=50), seed=0)
+        martingale_increment_probe(4, 5, params, seed=0)
     with pytest.raises(ValueError):
-        martingale_increment_probe(4, 5, 2, params, seed=0)
-    with pytest.raises(ValueError):
-        martingale_increment_probe(4, 4, 2, params, seed=0, f_radius=1e-9)
+        martingale_increment_probe(4, 4, params, seed=0, f_radius=1e-9)
     with pytest.raises(ValueError, match="n_outer"):
-        martingale_increment_probe(4, 4, 2, params, seed=0, n_outer=1, n_inner=10)
+        martingale_increment_probe(4, 4, params, seed=0, n_outer=1, n_inner=10)
     with pytest.raises(ValueError, match="n_inner"):
-        martingale_increment_probe(4, 4, 2, params, seed=0, n_outer=10, n_inner=0)
+        martingale_increment_probe(4, 4, params, seed=0, n_outer=10, n_inner=0)
+    with pytest.raises(ValueError, match="horizon"):
+        martingale_increment_probe(4, 4, params, seed=0, horizon=5)
+    # no cap on n: one draw set serves every i
+    assert len(martingale_increment_probe(8, 8, params, seed=0, n_outer=20, n_inner=10)) == 9
 
 
-def _draw_slices_one_at_a_time(template, idx, seed, domain, count, slices):
+def _draw_slices_one_at_a_time(template, nodes, rng, count):
     """Reference for the batched draws: one synthesis and gather per draw."""
-    out = np.zeros((count, len(slices), idx.shape[1]))
-    for r in range(count):
-        rng = tagged_stream(seed, domain, r)
-        shape = (len(slices), template.n_circ)
-        fields = template.synthesize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        for a, kk in enumerate(slices):
-            out[r, a] = fields[a, idx[kk - 1]]
-    return out
+    return np.stack([template.synthesize(rng.standard_normal(template.n_circ))[nodes]
+                     for _ in range(count)])
 
 
 def _reference_probe(n, j, i, params, seed, n_outer, n_inner):
-    """The increment probe with per-draw synthesis and one whole (O, 2R) product per side."""
+    """E exp|Delta_i| and its stderr by the per-i algorithm: fresh outer slices 1..i
+    and two fresh inner sets, one per side, one whole (O, 2R) product per side."""
     template = EnvironmentHandle(seed, UNIT, d=1, backend="grid", L=suggested_halfwidth(n))
     paths = sample_paths(seed, params.M, n, 1)
     idx = np.stack([template.snap(paths.positions[:, kk, :]) for kk in range(n)])
     f_vals = (np.abs(paths.positions[:, j - 1, 0]) <= 2.0 * math.sqrt(j)).astype(float)
-    outer = _draw_slices_one_at_a_time(template, idx, seed, 4, n_outer, list(range(1, i + 1)))
-    base_lo = outer[:, :i - 1, :].sum(axis=1)
-    base_hi = base_lo + outer[:, i - 1, :]
+
+    def draws(domain, count, slices):
+        """(count, M) sums over ``slices``; draw r takes every slice from one stream."""
+        out = np.zeros((count, params.M))
+        for r in range(count):
+            rng = tagged_stream(seed, domain, r)
+            for kk in slices:
+                out[r] += template.synthesize(rng.standard_normal(template.n_circ))[idx[kk - 1]]
+        return out
+
+    outer_lo = draws(10, n_outer, range(1, i))
+    outer_hi = outer_lo + draws(11, n_outer, [i])
 
     def side(base, fresh, domain):
         u = f_vals[None, :] * np.exp(params.beta * base)
         if not fresh:
             vals = np.log(u.sum(axis=1)) - math.log(params.M)
             return vals, vals
-        fresh_g = _draw_slices_one_at_a_time(template, idx, seed, domain, 2 * n_inner,
-                                             fresh).sum(axis=1)
-        log_w = np.log(u @ np.exp(params.beta * fresh_g).T) - math.log(params.M)
+        log_w = np.log(u @ np.exp(params.beta * draws(domain, 2 * n_inner, fresh)).T)
+        log_w -= math.log(params.M)
         return log_w[:, :n_inner].mean(axis=1), log_w.mean(axis=1)
 
-    hi_half, hi_full = side(base_hi, list(range(i + 1, n + 1)), 5)
-    lo_half, lo_full = side(base_lo, list(range(i, n + 1)), 6)
-    inc_half = np.exp(np.abs(hi_half - lo_half))
-    inc_full = np.exp(np.abs(hi_full - lo_full))
-    extrapolated = 2.0 * inc_full - inc_half
-    report = make_report(f"increment_probe(n={n},j={j},i={i},beta={params.beta:g})",
-                         float(extrapolated.mean()),
-                         float(extrapolated.std(ddof=1) / math.sqrt(n_outer)),
-                         upper=BoundConstants(params.beta, UNIT.sigma2(1)).K,
-                         notes=f"inner={n_inner},outer={n_outer},M={params.M}")
-    return IncrementProbeResult(report=report, estimate_inner=float(inc_half.mean()),
-                                estimate_doubled=float(inc_full.mean()))
+    hi_half, hi_full = side(outer_hi, list(range(i + 1, n + 1)), 12)
+    lo_half, lo_full = side(outer_lo, list(range(i, n + 1)), 13)
+    extrapolated = 2.0 * np.exp(np.abs(hi_full - lo_full)) - np.exp(np.abs(hi_half - lo_half))
+    return float(extrapolated.mean()), float(extrapolated.std(ddof=1) / math.sqrt(n_outer))
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7001])
@@ -351,37 +354,63 @@ def test_batched_increment_draws_match_one_draw_at_a_time(monkeypatch, chunk):
         monkeypatch.setattr("polymerlab.verify.MC_CHUNK", chunk)
     template = EnvironmentHandle(11, UNIT, d=1, backend="grid", L=suggested_halfwidth(3))
     idx = np.stack([template.snap(np.linspace(-4.0, 4.0, 37)[:, None] * s) for s in (0.5, 1.0, 1.5)])
-    for slices in ([1], [2, 3], [1, 2, 3]):
-        batches = list(_draw_batches(template, idx, 11, 5, 301, slices))
+    for k in (1, 2, 3):
+        batches = list(_draw_batches(template, idx[k - 1], tagged_stream(11, 5, k), 301))
         starts = [0] + [draws.stop for draws, _ in batches]
         assert [(draws.start, draws.stop) for draws, _ in batches] == list(zip(starts, starts[1:]))
         assert starts[-1] == 301 and all(draws.stop > draws.start for draws, _ in batches)
         got = np.concatenate([gathered for _, gathered in batches])
-        assert got.tobytes() == _draw_slices_one_at_a_time(template, idx, 11, 5, 301, slices).tobytes()
+        want = _draw_slices_one_at_a_time(template, idx[k - 1], tagged_stream(11, 5, k), 301)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_increment_probe_holds_no_whole_outer_draw_array(monkeypatch):
-    # the (n_outer, i, M) outer draws alone would take 4 * n_outer * M * 8 bytes
+    # the probe holds one (n_outer, M) and one (2 n_inner, M) array; the outer
+    # draws of all slices, or the whole (n_outer, 2 n_inner) product, would
+    # each take more than the bound below
     monkeypatch.setattr("polymerlab.verify.MC_CHUNK", 20_000)
-    params, n_outer = GibbsParams(beta=0.5, M=1000), 2000
+    params, n_outer, n_inner = GibbsParams(beta=0.5, M=400), 2000, 1000
     tracemalloc.start()
     try:
-        martingale_increment_probe(4, 4, 4, params, seed=9, n_outer=n_outer, n_inner=50)
+        martingale_increment_probe(4, 4, params, seed=9, n_outer=n_outer, n_inner=n_inner)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n_outer * params.M * 8
+    assert peak < 1.5 * (n_outer + 2 * n_inner) * params.M * 8
 
 
 @pytest.mark.parametrize("chunk", [None, 7001])
 def test_batched_increment_probe_matches_reference(monkeypatch, chunk):
     # 300 draws are not a multiple of any batch size used here
+    params = GibbsParams(beta=0.5, M=200)
+    whole = martingale_increment_probe(4, 4, params, seed=9, n_outer=300, n_inner=300)
     if chunk is not None:
         monkeypatch.setattr("polymerlab.verify.MC_CHUNK", chunk)
-    params = GibbsParams(beta=0.5, M=200)
-    for i in (1, 2, 3):
-        got = martingale_increment_probe(3, 3, i, params, seed=9, n_outer=300, n_inner=300)
-        assert got == _reference_probe(3, 3, i, params, seed=9, n_outer=300, n_inner=300)
+    got = martingale_increment_probe(4, 4, params, seed=9, n_outer=300, n_inner=300)
+    for a, b in zip(got, whole):
+        assert a.estimate == pytest.approx(b.estimate, rel=1e-12, abs=1e-14)
+        assert a.stderr == pytest.approx(b.stderr, rel=1e-9)
+    # the per-i algorithm draws its own fields: the two agree within 4 sigma
+    for i, report in enumerate(got[:4], start=1):
+        estimate, stderr = _reference_probe(4, 4, i, params, seed=9, n_outer=300, n_inner=300)
+        assert abs(report.estimate - estimate) < 4.0 * math.hypot(report.stderr, stderr)
+
+
+def test_increments_sum_of_squares_is_the_variance_over_fresh_fields():
+    # sum_i E[Delta_i^2] from the probe's draws against Var log W over fresh
+    # fields on the same paths (W truncated to |S_4| <= 4)
+    n, params, seed = 4, GibbsParams(beta=0.5, M=200), 17
+    e_half, e_full = _conditional_log_w(n, n, params, seed, UNIT, 1000, 1000, None, None, None, n)
+    sq = (2.0 * np.diff(e_full, axis=0)**2 - np.diff(e_half, axis=0)**2).sum(axis=0)
+    paths = sample_paths(seed, params.M, n, 1)
+    inside = np.abs(paths.endpoints[:, 0]) <= 2.0 * math.sqrt(n)
+    log_w = np.array([_logsumexp(params.beta * hamiltonian(EnvironmentHandle(
+        seed + 1 + r, UNIT, backend="grid", L=suggested_halfwidth(n)), paths)[inside])
+        for r in range(4000)]) - math.log(params.M)
+    dev2 = (log_w - log_w.mean())**2
+    var, var_se = dev2.sum() / (len(log_w) - 1), dev2.std(ddof=1) / math.sqrt(len(log_w))
+    se = math.hypot(sq.std(ddof=1) / math.sqrt(len(sq)), var_se)
+    assert abs(sq.mean() - var) < 4.0 * se
 
 
 def test_random_expo_cases_shape_and_determinism():
