@@ -31,7 +31,8 @@ Two backends:
     and makes them the Hermitian half of a random spectrum: modes 0 and
     n_circ/2 are real, each other mode is (a + ib)/sqrt(2).  One inverse
     real FFT then gives a field with exactly the embedded covariance
-    (Dietrich-Newsam 1997; Wood-Chan 1994), so no draw is thrown away.
+    (Dietrich-Newsam 1997; Wood-Chan 1994), so no draw is thrown away.  The
+    spectrum is computed once per (kernel, h, n_nodes) and shared read-only.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, domain-tag, index), so slice k's stream never depends on query
@@ -40,6 +41,7 @@ history of other slices or on thread scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -121,6 +123,34 @@ class _ExactSlice:
     values: np.ndarray          # (m,) field values at them
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_spectrum(kernel: KernelSpec, h: float, n_nodes: int) -> tuple[np.ndarray, float]:
+    """Read-only scale of each of ``synthesize``'s n_circ normals, and the clipped fraction.
+
+    The scale is sqrt(lambda_j * n_circ) for the real modes j = 0 and
+    n_circ/2, and sqrt(lambda_j * n_circ / 2) for each part of every other
+    mode; the circulant eigenvalues lambda_j are clipped at zero.  A clipped
+    fraction above ``_CLIP_TOLERANCE`` raises :class:`SpectralClippingError`
+    on every call, since the cache stores no exception.
+    """
+    cov_seq = np.atleast_1d(gamma_eval(kernel, (h * np.arange(n_nodes))[:, None]))
+    circ = cov_seq if n_nodes == 1 else np.concatenate([cov_seq, cov_seq[-2:0:-1]])
+    eig = np.fft.fft(circ).real
+    clipped = -eig[eig < 0].sum()
+    total = np.abs(eig).sum()
+    frac = float(clipped / total) if total > 0 else 0.0
+    if frac > _CLIP_TOLERANCE:
+        raise SpectralClippingError(
+            f"circulant embedding clipped {frac:.3e} of spectral mass (> {_CLIP_TOLERANCE}); "
+            "enlarge L or shrink the kernel length scale")
+    m = len(circ)
+    power = np.clip(eig[:m // 2 + 1], 0.0, None) * m
+    power[1:(m + 1) // 2] /= 2
+    scale = np.sqrt(np.repeat(power, 2)[1:m + 1])
+    scale.flags.writeable = False
+    return scale, frac
+
+
 def _first_rows(pts: np.ndarray) -> np.ndarray:
     """Index of the first row equal to each row of ``pts``."""
     _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
@@ -143,8 +173,10 @@ class EnvironmentHandle:
         Grid spacing and half-width (grid backend only).  ``h`` defaults
         to one tenth of the kernel length scale.
 
-    The grid backend is safe for concurrent reads once a slice is built;
-    slice construction is locked and happens exactly once per (seed, k).
+    A grid handle keeps only its slices; handles of one (kernel, h, n_nodes)
+    share one read-only spectrum.  The grid backend is safe for concurrent
+    reads once a slice is built; slice construction is locked and happens
+    exactly once per (seed, k).
     The exact backend draws a slice at its first query without a lock, so
     use one handle per thread of control.
     """
@@ -163,7 +195,6 @@ class EnvironmentHandle:
         self.d = int(d)
         self.backend = backend
         self.sigma2 = kernel.sigma2(d)
-        self.diagnostics: dict = {}
         self._lock = threading.Lock()
         self._slices: dict[int, object] = {}
         if backend == "grid":
@@ -177,39 +208,11 @@ class EnvironmentHandle:
                 raise ValueError("grid spacing h must be > 0 and half-width L >= 0")
             self.n_nodes = int(round(2 * self.L / self.h)) + 1
             self.n_circ = 1 if self.n_nodes == 1 else 2 * self.n_nodes - 2
-            self._scaled_spectrum: np.ndarray | None = None
         else:
             self.h = None
             self.L = None
 
     # -- grid backend ----------------------------------------------------
-
-    def _spectrum(self) -> np.ndarray:
-        # The scale of each of synthesize's n_circ normals, computed once:
-        # sqrt(lambda_j * n_circ) for the real modes j = 0 and n_circ/2, and
-        # sqrt(lambda_j * n_circ / 2) for the real and the imaginary part of
-        # each other mode.  Negative circulant eigenvalues lambda_j are
-        # clipped to zero and the clipped fraction recorded.
-        if self._scaled_spectrum is not None:
-            return self._scaled_spectrum
-        n = self.n_nodes
-        cov_seq = gamma_eval(self.kernel, (self.h * np.arange(n))[:, None])
-        cov_seq = np.atleast_1d(cov_seq)
-        circ = cov_seq if n == 1 else np.concatenate([cov_seq, cov_seq[-2:0:-1]])
-        eig = np.fft.fft(circ).real
-        clipped = -eig[eig < 0].sum()
-        total = np.abs(eig).sum()
-        frac = float(clipped / total) if total > 0 else 0.0
-        self.diagnostics["spectral_clipped_mass"] = frac
-        if frac > _CLIP_TOLERANCE:
-            raise SpectralClippingError(
-                f"circulant embedding clipped {frac:.3e} of spectral mass (> {_CLIP_TOLERANCE}); "
-                "enlarge L or shrink the kernel length scale")
-        m = self.n_circ
-        power = np.clip(eig[:m // 2 + 1], 0.0, None) * m
-        power[1:(m + 1) // 2] /= 2
-        self._scaled_spectrum = np.sqrt(np.repeat(power, 2)[1:m + 1])
-        return self._scaled_spectrum
 
     def synthesize(self, z: np.ndarray) -> np.ndarray:
         """Grid fields from real standard normals ``z`` of shape (..., n_circ).
@@ -226,7 +229,7 @@ class EnvironmentHandle:
             raise ValueError(f"synthesize takes real standard normals of shape "
                              f"(..., {self.n_circ}), got {z.dtype} of shape {z.shape}")
         m = self.n_circ
-        scale = self._spectrum()
+        scale, _ = _grid_spectrum(self.kernel, self.h, self.n_nodes)
         half = np.zeros((*z.shape[:-1], m // 2 + 1), dtype=complex)
         parts = half.view(float)    # Re 0, Im 0, Re 1, ...: Im 0 and Im n_circ/2 stay 0
         np.multiply(z[..., :1], scale[:1], out=parts[..., :1])
@@ -272,10 +275,6 @@ class EnvironmentHandle:
         idx = np.rint((pts + self.L) / self.h).astype(np.intp)
         np.maximum(idx, 0, out=idx)
         return np.minimum(idx, self.n_nodes - 1, out=idx)
-
-    def snapped_positions(self, positions) -> np.ndarray:
-        """Grid coordinates the given positions are rounded to."""
-        return -self.L + self.h * self.snap(positions)
 
     # -- exact backend ---------------------------------------------------
 
@@ -370,7 +369,7 @@ def covariance_selftest(env: EnvironmentHandle, positions, n_seeds: int = 10_000
     # For the grid backend the achievable targets are those of the snapped
     # coordinates.
     if env.backend == "grid":
-        coords = [np.asarray([float(env.snapped_positions(p)[0])]) for _, p in points]
+        coords = [np.asarray([float(-env.L + env.h * env.snap(p)[0])]) for _, p in points]
     else:
         coords = [p for _, p in points]
 

@@ -17,8 +17,8 @@ with a cross-replica standard error.
 The estimators take H, never an environment; :func:`hamiltonian` is the one
 map from a field and paths to H.  :func:`replica_over_n` builds every
 quenched estimator's replica (paths, field, H) but that of
-``verify._tilted_log_mass``, which queries a free and a tilted ensemble
-together on one field and keeps the signature tests pin.
+``verify._tilted_log_mass``, which must query a free and a tilted ensemble
+together on one field, where :func:`replica_over_n` gives H of one ensemble.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float, float
     if not np.isfinite(log_total):
         raise ValueError("all importance weights vanished")
     w_bar = np.exp(log_w - log_total)
-    ess = 1.0 / float(w_bar @ w_bar)
+    ess = min(1.0 / float(w_bar @ w_bar), float(log_w.size))   # at most M; rounding can exceed it
     # the floor of 2 catches total collapse in small ensembles; min() keeps M=1 silent
     threshold = max(ESS_WARN_FRACTION * log_w.size, min(2.0, log_w.size))
     if ess < threshold:

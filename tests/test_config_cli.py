@@ -95,6 +95,11 @@ def test_xi_scan_and_manifest(tmp_path):
         assert target.exists() and target.stat().st_size > 0
 
 
+def test_xi_scan_of_a_large_uniform_ensemble_exits_zero(tmp_path):
+    cfg = write_config(tmp_path, beta=0, M=123457, R=2, n_grid=[1], alphas=[0.6])
+    assert main(["xi-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_fluct_fit_outputs(tmp_path):
     out = tmp_path / "fit"
     cfg = write_config(tmp_path, beta=0.0, M=200, R=6, n_grid=[4, 9, 16, 25], output_dir=str(out))

@@ -1,11 +1,14 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from polymerlab import environment as env_mod
 from polymerlab.environment import (_DOMAIN_SLICE, _JITTER, CovarianceConditioningError,
                                     EnvironmentHandle, GridDomainError, SpectralClippingError,
-                                    covariance_selftest, tagged_stream)
+                                    _grid_spectrum, covariance_selftest, tagged_stream)
 from polymerlab.kernels import KernelSpec, _as_points, gamma_eval, gamma_matrix
 
 UNIT = KernelSpec()  # normalized exponential, lam=1
@@ -150,7 +153,7 @@ def test_synthesize_matches_plain_ifft_and_keeps_z(batch):
     rng = np.random.default_rng(len(batch))
     z = rng.standard_normal((*batch, m))
     before = z.copy()
-    scaled = z * env._spectrum()
+    scaled = z * _grid_spectrum(env.kernel, env.h, env.n_nodes)[0]
     half = np.zeros((*batch, m // 2 + 1), dtype=complex)
     half[..., 0] = scaled[..., 0]
     half[..., 1:m // 2] = scaled[..., 1:m - 1:2] + 1j * scaled[..., 2:m - 1:2]
@@ -273,11 +276,64 @@ def test_conditioning_error_on_indefinite_covariance(monkeypatch):
 def test_spectral_clipping_diagnostics_and_error():
     env = EnvironmentHandle(1, UNIT, backend="grid", h=0.1, L=5.0)
     env.build_grid_slice(1)
-    assert env.diagnostics["spectral_clipped_mass"] <= 1e-6
-    bad = EnvironmentHandle(1, KernelSpec(kind="squared-exponential", lam=0.1),
-                            backend="grid", h=0.5, L=2.0)
+    assert _grid_spectrum(env.kernel, env.h, env.n_nodes)[1] <= 1e-6
+    wide = KernelSpec(kind="squared-exponential", lam=0.1)
+    bad = EnvironmentHandle(1, wide, backend="grid", h=0.5, L=2.0)
     with pytest.raises(SpectralClippingError):
         bad.build_grid_slice(1)
+    # the error is not cached away: a second handle of the law raises too
+    again = EnvironmentHandle(2, wide, backend="grid", h=0.5, L=2.0)
+    with pytest.raises(SpectralClippingError, match="clipped"):
+        again.build_grid_slice(1)
+    with pytest.raises(SpectralClippingError):
+        _grid_spectrum(wide, 0.5, bad.n_nodes)
+
+
+def test_handles_of_one_law_share_one_read_only_spectrum(monkeypatch):
+    calls = []
+
+    def counting(kernel, x):
+        calls.append(len(x))
+        return gamma_eval(kernel, x)
+
+    monkeypatch.setattr(env_mod, "gamma_eval", counting)
+    _grid_spectrum.cache_clear()
+    handles = [EnvironmentHandle(seed, UNIT, backend="grid", h=0.1, L=3.0) for seed in range(4)]
+    for env in handles:
+        env.build_grid_slice(1)
+    assert calls == [handles[0].n_nodes]
+    assert _grid_spectrum.cache_info().misses == 1
+    scale = _grid_spectrum(UNIT, 0.1, handles[0].n_nodes)[0]
+    assert all(_grid_spectrum(env.kernel, env.h, env.n_nodes)[0] is scale for env in handles)
+    assert not scale.flags.writeable
+    with pytest.raises(ValueError):
+        scale[0] = 0.0
+    assert not any(hasattr(env, name) for env in handles
+                   for name in ("_spectrum", "_scaled_spectrum", "diagnostics"))
+
+    # another n_nodes is another law: one more entry, one more evaluation
+    wider = EnvironmentHandle(0, UNIT, backend="grid", h=0.1, L=4.0)
+    wider.build_grid_slice(1)
+    assert calls == [handles[0].n_nodes, wider.n_nodes]
+    assert _grid_spectrum.cache_info().misses == 2
+    assert len(_grid_spectrum(UNIT, 0.1, wider.n_nodes)[0]) == wider.n_circ
+
+
+def test_concurrent_first_use_of_a_law_gives_every_handle_the_same_field():
+    handles = [EnvironmentHandle(s, UNIT, backend="grid", h=0.1, L=3.0) for s in range(8)]
+    m = handles[0].n_circ
+    want = [env.synthesize(tagged_stream(env.seed, _DOMAIN_SLICE, 1).standard_normal(m))
+            for env in handles]
+    _grid_spectrum.cache_clear()    # every thread now races to fill the law's entry
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(env.build_grid_slice, 1) for env in handles]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_selftest_slice_independence_and_stationarity():

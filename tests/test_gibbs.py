@@ -99,6 +99,19 @@ def test_log_partition_keeps_the_concentration_bytes(M):
     assert log_partition(0.5, h).value == float(_logsumexp(0.5 * h) - math.log(M))
 
 
+@pytest.mark.parametrize("M", [123457, 1_000_000])
+def test_uniform_weights_of_a_large_ensemble_have_ess_m(M):
+    # 1 / sum(w_bar^2) can round above M here; ESS is at most M by definition
+    h = np.zeros(M)
+    log_z = log_partition(0.0, h)
+    assert log_z.ess <= M and log_z.ess == pytest.approx(M)
+    assert log_z.value == pytest.approx(0.0, abs=1e-12)
+    f_vals = (np.arange(M) % 2).astype(float)
+    est = gibbs_expect(0.0, h, f_vals)
+    assert est.ess <= M and est.ess == pytest.approx(M)
+    assert est.value == pytest.approx(f_vals.mean(), abs=1e-12)
+
+
 def test_gibbs_expect_self_normalization_and_beta_zero():
     env = EnvironmentHandle(3, UNIT, backend="grid", h=0.1, L=10.0)
     paths = sample_paths(3, 500, 4, 1)
