@@ -20,14 +20,16 @@ configuration error (a boolean, NaN or infinite config number; d > 1
 without the exact backend and a kernel other than exponential-petermann;
 a configuration too large for memory; a d = 1-only suite at d > 1; a
 suite hypothesis, checked before any suite runs; an ``--out`` that
-cannot be made), 3 numerical failure (ill-conditioned covariance,
+cannot be made or an output that cannot be written, named in the one
+stderr line), 3 numerical failure (ill-conditioned covariance,
 clipped spectrum, grid domain overflow, failed replica), reported as one
 stderr line; a failure removes the directories it made while empty.  Data
 outputs are byte-identical for identical (config, seed) at any thread
 count; the manifest additionally records wall-clock timings and the
 process's peak resident memory (``peak_rss_mib``), so it is the one file
 excluded from that guarantee.  It also counts, by class, the warnings a
-command raised instead of printing them.
+command raised instead of printing them, and the numeric environment
+(numpy version, BLAS thread variables as set, CPU count).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import resource
 import sys
 import time
@@ -60,6 +63,7 @@ from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckRepo
 D1_SUITES = ("girsanov", "meancontrol", "concentration", "increment")
 REPORT_CSV_HEADER = ("name", "estimate", "stderr", "lower_bound", "upper_bound", "margin_sigmas", "pass")
 SPREADS_CSV_HEADER = ("quantity", "n", "beta", "value", "M", "R", "seed")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 BALL_ALPHA = 0.75           # makes n^(2*alpha-1) dyadic on the default n values
 BALL_N_VALUES = (9, 16)
@@ -227,10 +231,7 @@ class _Frame:
 
     def __enter__(self) -> _Frame:
         self._made = [p for p in (self.out, *self.out.parents) if not p.exists()]
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot make output directory {self.out}: {exc.strerror}") from exc
+        self.out.mkdir(parents=True, exist_ok=True)
         self._caught = self._recorder.__enter__()
         warnings.simplefilter("always")     # keeps repeats, so counts match at any thread count
         return self
@@ -251,6 +252,8 @@ class _Frame:
                 "summary": self.summary,
                 "warnings": dict(Counter(w.category.__name__ for w in self._caught)),
                 "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
+                "numeric_environment": {"numpy": np.__version__, "cpu_count": os.cpu_count(),
+                                        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
             })
 
     @contextmanager
@@ -380,7 +383,7 @@ def main(argv=None) -> int:
             ReplicaError) as exc:
         print(f"polymerlab: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ConfigError, ValueError, MemoryError, OSError) as exc:    # OSError: making or writing an output
         print(f"polymerlab: error: {exc}", file=sys.stderr)
         return 2
 

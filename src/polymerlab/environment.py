@@ -36,7 +36,9 @@ Two backends:
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, domain-tag, index), so slice k's stream never depends on query
-history of other slices or on thread scheduling.
+history of other slices or on thread scheduling.  Every module takes its
+domain tag from the one ``_DOMAIN_*`` table here, and the exact backend and
+the quadrature oracles share one jittered factor, ``_jittered_cholesky``.
 """
 
 from __future__ import annotations
@@ -52,10 +54,13 @@ from .kernels import KernelSpec, _as_points, gamma_eval, gamma_matrix
 
 BACKENDS = ("exact", "grid")
 
-# Domain tags keep Philox streams for different purposes disjoint even when
-# built from the same 64-bit seed.
-_DOMAIN_SLICE = 1
-_DOMAIN_WALK = 2
+# Philox domain tags keep the streams of different purposes disjoint under one
+# seed.  Every module takes its tag from this table, so no two tags alias.
+_DOMAIN_SLICE = 1           # field slice k of a handle
+_DOMAIN_WALK = 2            # walk block of walk.REPLICA_BLOCK paths
+_DOMAIN_ORACLE = 3          # verify's Monte Carlo oracle and random moment cases
+_DOMAIN_PROBE_OUTER = 4     # increment probe: outer draws of slice k
+_DOMAIN_PROBE_INNER = 5     # increment probe: inner draws of slice k
 
 _JITTER = 1e-10
 _CLIP_TOLERANCE = 1e-6
@@ -115,6 +120,16 @@ def tagged_stream(seed: int, domain: int, index: int) -> np.random.Generator:
                          f"index={index} (need [0, 2**48))")
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (domain << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+def _jittered_cholesky(cov: np.ndarray, scale: float, what: str) -> np.ndarray:
+    """Cholesky factor of ``cov`` after adding ``_JITTER * scale`` to its diagonal in place."""
+    cov.flat[::len(cov) + 1] += _JITTER * scale
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise CovarianceConditioningError(
+            f"{what} is numerically non-positive-definite even after jitter") from exc
 
 
 @dataclass(frozen=True)
@@ -294,15 +309,9 @@ class EnvironmentHandle:
         first = _first_rows(pts)
         keep = np.flatnonzero(first == np.arange(len(pts)))    # first appearances, in order
         new = pts[keep]
-        # gamma_matrix returns a fresh array: add the jitter to its diagonal in place.
-        cov = gamma_matrix(self.kernel, new)
-        cov.flat[::len(new) + 1] += _JITTER * self.sigma2
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceConditioningError(
-                f"slice {k}: covariance of {len(new)} query points is numerically "
-                "non-positive-definite even after jitter") from exc
+        # gamma_matrix returns a fresh array, so it may be jittered in place
+        chol = _jittered_cholesky(gamma_matrix(self.kernel, new), self.sigma2,
+                                  f"slice {k}: covariance of {len(new)} query points")
         values = chol @ tagged_stream(self.seed, _DOMAIN_SLICE, k).standard_normal(len(new))
         self._slices[k] = _ExactSlice(points=new, values=values)
         return values[np.searchsorted(keep, first)]

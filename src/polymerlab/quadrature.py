@@ -2,9 +2,9 @@
 
 Tensorized probabilists' Gauss-Hermite quadrature over g ~ N(0, C) for a
 handful of field points, used to certify the exponential-moment and
-log-moment inequalities independently of any sampler.  A plain
-Monte Carlo companion with the same calling convention provides the
-cross-check at 4-sigma.
+log-moment inequalities independently of any sampler.  The one plain Monte
+Carlo entry, :func:`monte_carlo_mean` (its integrand is exp(log_integrand)
+for an exponential moment), gives the cross-check at 4-sigma.
 
 The quadrature walks the n^m tensor grid in C-order batches of about
 ``GH_BATCH_ENTRIES`` node coordinates: at most ``GH_BATCH_ENTRIES // m``
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .environment import _JITTER, CovarianceConditioningError
+from .environment import _jittered_cholesky
 
 MAX_GRID_POINTS = 40_000_000
 MC_CHUNK = 200_000              # Monte Carlo draws (or increment-probe normals or product entries) per batch
@@ -37,13 +37,9 @@ GH_BATCH_ENTRIES = 50_000       # node coordinates (k nodes x m) per quadrature 
 
 
 def _chol(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    jittered = cov + _JITTER * np.max(np.diag(cov)) * np.eye(len(cov))
-    try:
-        return np.linalg.cholesky(jittered)
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceConditioningError(
-            "quadrature covariance is numerically non-positive-definite") from exc
+    """Jittered Cholesky factor of a copy of ``cov``, the jitter scaled by its largest variance."""
+    cov = np.array(cov, dtype=float)
+    return _jittered_cholesky(cov, np.max(np.diag(cov)), "quadrature covariance")
 
 
 def _logsumexp(a, axis: int | None = None):
@@ -140,7 +136,9 @@ def gauss_hermite_mean(cov: np.ndarray, integrand, n_nodes: int = 40) -> float:
     return float(weights @ values)
 
 
-def _mc_mean(cov: np.ndarray, fn, n_draws: int, rng: np.random.Generator) -> tuple[float, float]:
+def monte_carlo_mean(cov: np.ndarray, integrand, n_draws: int,
+                     rng: np.random.Generator) -> tuple[float, float]:
+    """Monte Carlo E[integrand(g)] for g ~ N(0, cov), with its standard error."""
     chol = _chol(cov)
     m = len(chol)
     total = 0.0
@@ -148,22 +146,10 @@ def _mc_mean(cov: np.ndarray, fn, n_draws: int, rng: np.random.Generator) -> tup
     done = 0
     while done < n_draws:
         take = min(MC_CHUNK, n_draws - done)
-        vals = fn(rng.standard_normal((take, m)) @ chol.T)
+        vals = integrand(rng.standard_normal((take, m)) @ chol.T)
         total += vals.sum()
         total_sq += float(vals @ vals)
         done += take
     mean = total / n_draws
     var = max(total_sq / n_draws - mean**2, 0.0) * n_draws / max(n_draws - 1, 1)
     return float(mean), float(np.sqrt(var / n_draws))
-
-
-def monte_carlo_expect(cov: np.ndarray, log_integrand, n_draws: int,
-                       rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo E[exp(log_integrand(g))] with its standard error."""
-    return _mc_mean(cov, lambda g: np.exp(log_integrand(g)), n_draws, rng)
-
-
-def monte_carlo_mean(cov: np.ndarray, integrand, n_draws: int,
-                     rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo E[integrand(g)] with its standard error."""
-    return _mc_mean(cov, integrand, n_draws, rng)

@@ -17,17 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
+from .environment import (_DOMAIN_ORACLE, _DOMAIN_PROBE_INNER, _DOMAIN_PROBE_OUTER,
+                          EnvironmentHandle, suggested_halfwidth, tagged_stream)
 from .gibbs import GibbsParams, log_partition, quenched_average, replica_hamiltonian, replica_over_n
 from .kernels import KernelSpec, gamma_matrix
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .quadrature import (MC_CHUNK, _batches, _logsumexp, gauss_hermite_expect,
-                         gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean)
+                         gauss_hermite_mean, monte_carlo_mean)
 from .walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_path
 
-_DOMAIN_ORACLE = 3
-_DOMAIN_PROBE_OUTER = 4
-_DOMAIN_PROBE_INNER = 5
 MEAN_CONTROL_MIN_ALPHA = 0.5        # suite hypotheses, also checked before any suite runs:
 CONCENTRATION_MIN_R = 200           # mean control needs alpha > 1/2, concentration R >= 200
 
@@ -154,7 +152,7 @@ def _oracle(method: str, cov: np.ndarray, fn, n_nodes: int, n_draws: int, seed: 
         return estimate, _QUAD_RTOL * max(abs(estimate), 1.0)
     if method == "mc":
         rng = tagged_stream(seed, _DOMAIN_ORACLE, 0 if exponential else 1)
-        return (monte_carlo_expect if exponential else monte_carlo_mean)(cov, fn, n_draws, rng)
+        return monte_carlo_mean(cov, (lambda g: np.exp(fn(g))) if exponential else fn, n_draws, rng)
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'")
 
 

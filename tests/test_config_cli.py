@@ -405,3 +405,41 @@ def test_env_check_on_the_exact_backend(tmp_path):
         target = gamma_eval(kernel, xa - xb) if ka == kb else 0.0
         assert float(row["target_cov"]) == target
         assert abs(float(row["z"])) < 4
+
+
+@pytest.mark.parametrize("command, blocked", [(["env-check"], "env_check.csv"),
+                                              (["verify", "girsanov"], "verify_summary.json")])
+def test_output_that_cannot_be_written_exits_two_with_one_line(tmp_path, capsys, command, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_config(tmp_path, M=50, R=4)
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polymerlab: error: ")
+    assert str(out / blocked) in err[0]
+    assert not (out / "manifest.json").exists()
+
+
+def test_d1_exact_backend_commands_are_byte_identical_across_threads(tmp_path):
+    cfg = write_config(tmp_path, backend={"kind": "exact"}, M=20, R=4, n_grid=[2, 3, 4, 5])
+    for command in ("xi-scan", "fluct-fit", "env-check"):
+        data = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}"
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            data.append({name: (out / name).read_bytes() for name in outputs})
+        assert data[0] and data[0] == data[1]
+
+
+def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert main(["env-check", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["numeric_environment"]
+    assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
+    assert "OMP_NUM_THREADS" in env
+    assert "numeric_environment" not in manifest["summary"]

@@ -1,10 +1,15 @@
+import ast
+import importlib
+import pkgutil
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polymerlab
 from polymerlab import environment as env_mod
 from polymerlab.environment import (_DOMAIN_SLICE, _JITTER, CovarianceConditioningError,
                                     EnvironmentHandle, GridDomainError, SpectralClippingError,
@@ -376,6 +381,21 @@ def test_tagged_stream_rejects_tags_outside_their_key_fields():
     for domain, index in ((2**16, 0), (-1, 0), (0, -1), (0, 2**48)):
         with pytest.raises(ValueError, match="stream tag"):
             tagged_stream(7, domain, index)
+
+
+def test_every_stream_tag_is_defined_once_in_the_environment_table():
+    table = {name: value for name, value in vars(env_mod).items() if name.startswith("_DOMAIN_")}
+    assert len(set(table.values())) == len(table) >= 5
+    assert all(isinstance(v, int) and 0 <= v < 1 << 16 for v in table.values())
+    for info in pkgutil.iter_modules(polymerlab.__path__):
+        mod = importlib.import_module(f"polymerlab.{info.name}")
+        for name, value in vars(mod).items():
+            if name.startswith("_DOMAIN_"):
+                assert value is table[name], f"{info.name}.{name}"
+        if mod is not env_mod:      # equal small ints are one object, so also read the source
+            stored = {node.id for node in ast.walk(ast.parse(Path(mod.__file__).read_text()))
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            assert not {n for n in stored if n.startswith("_DOMAIN_")}, info.name
 
 
 def _assert_same_philox_state(got: dict, want: dict):

@@ -10,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from polymerlab import quadrature
-from polymerlab.environment import CovarianceConditioningError, tagged_stream
+from polymerlab.environment import _JITTER, CovarianceConditioningError, tagged_stream
 from polymerlab.kernels import KernelSpec, gamma_matrix
 from polymerlab.quadrature import (_batches, _chol, _logsumexp, gauss_hermite_expect,
-                                   gauss_hermite_mean, monte_carlo_expect, monte_carlo_mean)
+                                   gauss_hermite_mean, monte_carlo_mean)
 from polymerlab.verify import check_expo_ineq, check_log_moment_bounds, random_expo_cases
 
 
@@ -54,13 +54,25 @@ def test_monte_carlo_agrees_with_quadrature():
     cov = gamma_matrix(KernelSpec(), np.array([[0.0], [0.9]]))
     a = np.array([0.4, 0.4])
     quad = gauss_hermite_expect(cov, lambda g: g @ a)
-    mc, se = monte_carlo_expect(cov, lambda g: g @ a, 300_000, tagged_stream(1, 3, 5))
+    mc, se = monte_carlo_mean(cov, lambda g: np.exp(g @ a), 300_000, tagged_stream(1, 3, 5))
     assert abs(mc - quad) < 4 * se
 
     mean_quad = gauss_hermite_mean(cov, lambda g: np.tanh(g[:, 0] + 0.2 * g[:, 1]))
     mean_mc, mean_se = monte_carlo_mean(cov, lambda g: np.tanh(g[:, 0] + 0.2 * g[:, 1]),
                                         300_000, tagged_stream(1, 3, 6))
     assert abs(mean_mc - mean_quad) < 4 * mean_se
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 40])
+def test_chol_is_the_jittered_factor_and_leaves_its_argument(m):
+    rng = tagged_stream(3, 9, m)
+    points = np.sort(rng.uniform(-3.0, 3.0, m))[:, None]
+    for kernel in (KernelSpec(), KernelSpec(lam=0.4, normalize_unit_variance=False)):
+        cov = gamma_matrix(kernel, points)
+        before = cov.copy()
+        want = np.linalg.cholesky(cov + _JITTER * np.max(np.diag(cov)) * np.eye(len(cov)))
+        assert _chol(cov).tobytes() == want.tobytes()
+        assert cov.tobytes() == before.tobytes()
 
 
 def test_grid_size_guard_and_conditioning_error():

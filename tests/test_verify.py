@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from polymerlab.environment import EnvironmentHandle, suggested_halfwidth, tagged_stream
+from polymerlab.environment import (_DOMAIN_PROBE_INNER, EnvironmentHandle, suggested_halfwidth,
+                                    tagged_stream)
 from polymerlab.gibbs import GibbsParams, ReplicaError, hamiltonian
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
@@ -355,12 +356,13 @@ def test_batched_increment_draws_match_one_draw_at_a_time(monkeypatch, chunk):
     template = EnvironmentHandle(11, UNIT, d=1, backend="grid", L=suggested_halfwidth(3))
     idx = np.stack([template.snap(np.linspace(-4.0, 4.0, 37)[:, None] * s) for s in (0.5, 1.0, 1.5)])
     for k in (1, 2, 3):
-        batches = list(_draw_batches(template, idx[k - 1], tagged_stream(11, 5, k), 301))
+        batches = list(_draw_batches(template, idx[k - 1], tagged_stream(11, _DOMAIN_PROBE_INNER, k), 301))
         starts = [0] + [draws.stop for draws, _ in batches]
         assert [(draws.start, draws.stop) for draws, _ in batches] == list(zip(starts, starts[1:]))
         assert starts[-1] == 301 and all(draws.stop > draws.start for draws, _ in batches)
         got = np.concatenate([gathered for _, gathered in batches])
-        want = _draw_slices_one_at_a_time(template, idx[k - 1], tagged_stream(11, 5, k), 301)
+        want = _draw_slices_one_at_a_time(template, idx[k - 1],
+                                          tagged_stream(11, _DOMAIN_PROBE_INNER, k), 301)
         assert got.tobytes() == want.tobytes()
 
 
