@@ -75,14 +75,23 @@ class GibbsEstimate:
 
 
 def hamiltonian(env: EnvironmentHandle, paths: PathEnsemble) -> np.ndarray:
-    """H_m = sum_k g(k, S_k^m), querying the environment once per step.
+    """H_m = sum_k g(k, S_k^m), summed in step order.
 
-    On a grid handle every S_k^m must lie in [-L, L] up to
+    A grid handle makes one domain check and one node map for the whole
+    ensemble (``snap_paths``), then adds each slice at its nodes; each
+    slice is still built once.  Every S_k^m must lie in [-L, L] up to
     1e-9 * max(1, L); one path outside raises ``GridDomainError`` for the
-    whole ensemble, with no clamping.  ``suggested_halfwidth`` gives a
-    covering L.
+    whole ensemble before any slice is built, with no clamping.
+    ``suggested_halfwidth`` gives a covering L.  Any other environment,
+    such as an exact handle, which draws a slice at its first query, is
+    queried once per step with ``sample_slice_at``.
     """
     out = np.zeros(paths.M)
+    if isinstance(env, EnvironmentHandle) and env.backend == "grid":
+        nodes = env.snap_paths(paths.positions)
+        for k in range(1, paths.n + 1):
+            out += env.build_grid_slice(k)[nodes[k - 1]]
+        return out
     for k in range(1, paths.n + 1):
         out += env.sample_slice_at(k, paths.positions[:, k - 1, :])
     return out

@@ -430,7 +430,7 @@ def _conditional_log_w(n: int, j: int, params: GibbsParams, seed: int, kernel: K
                                                        else 2.0 * math.sqrt(j))
     if not inside.any():
         raise ValueError("probe functional has zero sampled mass; enlarge f_radius")
-    nodes = np.stack([template.snap(paths.positions[:, kk, :]) for kk in range(n)])[:, inside]
+    nodes = template.snap_paths(paths.positions)[:, inside]
     log_m = math.log(params.M)
 
     def fold(weights: np.ndarray, k: int, domain: int, sign: float) -> None:

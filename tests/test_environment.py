@@ -13,7 +13,8 @@ import polymerlab
 from polymerlab import environment as env_mod
 from polymerlab.environment import (_DOMAIN_SLICE, _JITTER, CovarianceConditioningError,
                                     EnvironmentHandle, GridDomainError, SpectralClippingError,
-                                    _grid_spectrum, covariance_selftest, tagged_stream)
+                                    _grid_spectrum, _lower_covariance, covariance_selftest,
+                                    tagged_stream)
 from polymerlab.kernels import KernelSpec, _as_points, gamma_eval, gamma_matrix
 
 UNIT = KernelSpec()  # normalized exponential, lam=1
@@ -89,6 +90,29 @@ def test_first_query_bytes_match_the_one_shot_reference(d, kernel, positions):
         got = env.sample_slice_at(k, pts)
         assert got.tobytes() == want.tobytes()
         assert env._slices[k].points.tobytes() == want_points.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 63, 64, 65, 127, 128, 129, 600])
+@pytest.mark.parametrize("d, kernel", [(2, PRODUCT), (1, UNIT)])
+def test_exact_draw_from_the_lower_triangle_matches_the_full_covariance(m, d, kernel):
+    # row blocks of 64 points: part of one block, one or two full blocks and a row more, ten blocks
+    assert env_mod._COV_BLOCK == 64
+    pts = np.random.default_rng(m).uniform(-10.0, 10.0, (m, d))
+    env = EnvironmentHandle(9, kernel, d=d, backend="exact")
+    got = env.sample_slice_at(4, pts)
+    jitter = _JITTER * env.sigma2 * np.eye(m)
+    z = tagged_stream(9, _DOMAIN_SLICE, 4).standard_normal(m)
+    want = np.linalg.cholesky(gamma_matrix(kernel, pts) + jitter) @ z
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [UNIT, PRODUCT, KernelSpec(kind="squared-exponential")])
+def test_lower_covariance_holds_the_full_matrix_bytes_on_and_below_the_diagonal(kernel):
+    pts = np.random.default_rng(1).uniform(-5.0, 5.0, (300, 1 if kernel is UNIT else 3))
+    lower = _lower_covariance(kernel, pts)
+    assert np.tril(lower).tobytes() == np.tril(gamma_matrix(kernel, pts)).tobytes()
+    # nothing right of a row block's last point is built
+    assert not any(lower[r0:r0 + 64, r0 + 64:].any() for r0 in range(0, 300, 64))
 
 
 def test_exact_slices_keep_no_covariance_factor():
@@ -443,6 +467,10 @@ def test_signed_zero_is_one_exact_point():
     (lambda: EnvironmentHandle(0, UNIT, backend="exact").build_grid_slice(1), "grid backend"),
     (lambda: EnvironmentHandle(0, PRODUCT, d=2, backend="exact").sample_slice_at(1, [[0.0, 0.0, 0.0]]),
      "dimension 3"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="grid", L=2.0).snap_paths(np.zeros((4, 3, 2))),
+     r"shape \(M, n, 1\)"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="grid", L=2.0).snap_paths([[[0.0], [np.nan]]]),
+     "finite"),
 ])
 def test_handle_rejects_invalid_inputs(call, match):
     with pytest.raises(ValueError, match=match):

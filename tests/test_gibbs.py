@@ -10,7 +10,7 @@ from polymerlab.gibbs import (GibbsEstimate, GibbsParams, ReplicaError, WeightDe
                               replica_hamiltonian)
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
-from polymerlab.walk import PathEnsemble, sample_paths
+from polymerlab.walk import PathEnsemble, TiltSpec, sample_paths, tilt_path
 
 UNIT = KernelSpec()
 
@@ -53,6 +53,68 @@ def test_hamiltonian_two_steps_grid_lookup_oracle():
     s1, s2 = env.build_grid_slice(1), env.build_grid_slice(2)
     expected = s1[env.snap(paths.positions[:, 0, :])] + s2[env.snap(paths.positions[:, 1, :])]
     assert np.allclose(h, expected)
+
+
+def _edge_ensemble(L: float) -> PathEnsemble:
+    """Walks that touch both ends of the grid's tolerance, +-(L + 1e-9 * max(1, L))."""
+    bound = L + 1e-9 * max(1.0, L)
+    positions = np.clip(sample_paths(3, 60, 7, 1).positions, -L, L)
+    positions[::3, 2, 0] = bound
+    positions[1::3, 5, 0] = -bound
+    return PathEnsemble(positions)
+
+
+def _free_and_tilted(n: int) -> PathEnsemble:
+    paths = sample_paths(21, 80, n, 1)
+    tilted = tilt_path(paths, TiltSpec(np.array([2.0]), n))
+    return PathEnsemble(np.concatenate([paths.positions, tilted.positions]))
+
+
+@pytest.mark.parametrize("paths, L", [
+    (sample_paths(1, 50, 1, 1), suggested_halfwidth(1)),
+    (sample_paths(2, 300, 25, 1), suggested_halfwidth(25)),
+    (PathEnsemble(np.zeros((30, 6, 1))), 0.0),
+    (_edge_ensemble(3.0), 3.0),
+    (_edge_ensemble(0.5), 0.5),
+    (_free_and_tilted(9), suggested_halfwidth(9, drift=2.0)),
+], ids=["n1", "n25", "L0", "edge-L3", "edge-L0.5", "free+tilted"])
+def test_grid_hamiltonian_is_the_step_order_sum_of_slice_queries(paths, L):
+    env = EnvironmentHandle(17, UNIT, backend="grid", h=0.1, L=L)
+    built = []
+    synthesize = env.synthesize
+
+    def counted(z):
+        built.append(z)
+        return synthesize(z)
+
+    env.synthesize = counted
+    h = hamiltonian(env, paths)
+
+    fresh = EnvironmentHandle(17, UNIT, backend="grid", h=0.1, L=L)
+    want = np.zeros(paths.M)
+    for k in range(1, paths.n + 1):
+        want += fresh.sample_slice_at(k, paths.positions[:, k - 1, :])
+    assert h.tobytes() == want.tobytes()
+    assert sorted(env._slices) == list(range(1, paths.n + 1))
+    assert len(built) == paths.n
+
+
+def test_grid_hamiltonian_domain_error_names_the_first_leaving_step_and_builds_nothing():
+    paths = sample_paths(20240817, 50, 16, 1)
+    step_worst = np.abs(paths.positions[:, :, 0]).max(axis=0)
+    first = int(np.argmax(step_worst > 3.0 + 3e-9))
+    # the first step to leave is not the one with the worst position overall
+    assert step_worst[first] < step_worst.max()
+    reference = EnvironmentHandle(5, UNIT, backend="grid", L=3.0)
+    with pytest.raises(GridDomainError) as per_step:
+        for k in range(1, paths.n + 1):
+            reference.sample_slice_at(k, paths.positions[:, k - 1, :])
+    env = EnvironmentHandle(5, UNIT, backend="grid", L=3.0)
+    with pytest.raises(GridDomainError) as joint:
+        hamiltonian(env, paths)
+    assert str(joint.value) == str(per_step.value)
+    assert f"{step_worst[first]:g}" in str(joint.value)
+    assert env._slices == {}
 
 
 def test_replica_hamiltonian_exact_backend_couples_a_doubled_ensemble():
