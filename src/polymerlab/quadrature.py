@@ -12,20 +12,22 @@ nodes, 12,500 at m = 4, so that the node indices, the (k, m) nodes,
 ``z @ chol.T`` and the integrand's (k, m) temporaries each stay near
 400 KB.  Every batch has at least 2 nodes (on grids of 2 or more): NumPy
 sends a one-row product to another BLAS routine, which can round
-differently.  The Monte Carlo oracle draws ``MC_CHUNK`` normals per
-chunk, and its per-chunk sums fix its output bytes.
+differently.  Each batch is reduced as soon as it is computed and only
+its one result is kept, so no array grows with the grid: the four-atom
+checks at 40^4 nodes peak below 5 MiB of traced memory.
 
-What still scales with the grid is the n^m reduction array: the per-node
-log terms of :func:`gauss_hermite_expect`, or the weights and integrand
-values of :func:`gauss_hermite_mean`, 19.5 MiB each at 40^4 nodes.  They
-are reduced once, with the same :func:`_logsumexp` or dot product as a
-one-shot grid, so the result does not depend on the batch size.
-:func:`_logsumexp` adds one shifted copy, exponentiated in place, and a
-boolean mask: a tracemalloc peak of 22 MiB over a 40^4 input, where
-``scipy.special.logsumexp`` peaks at 100 MiB.
+Every reduction has a fixed order and uses no BLAS ``dot``, whose
+summation order depends on the BLAS thread count: a :func:`_logsumexp` per
+batch and one over the batches' results, or a NumPy sum per batch and
+``math.fsum`` over the batches.  So ``GH_BATCH_ENTRIES`` fixes the
+quadrature's output bytes, as ``MC_CHUNK`` fixes the Monte Carlo oracle's.
+That oracle sums the values of ``MC_CHUNK`` draws at a time, but draws
+and evaluates them in sub-batches of quadrature-batch size.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -113,43 +115,70 @@ def gauss_hermite_expect(cov: np.ndarray, log_integrand, n_nodes: int = 40) -> f
     ``log_integrand`` maps an (n_points, m) array of field values to the
     (n_points,) log of the integrand; doing everything in logs keeps
     exponential integrands finite.  It is called once per batch of at
-    most ``GH_BATCH_ENTRIES // m`` nodes.
+    most ``GH_BATCH_ENTRIES // m`` nodes, whose log terms one
+    :func:`_logsumexp` reduces at once; the result is the exp of the
+    :func:`_logsumexp` of the per-batch values.  So ``GH_BATCH_ENTRIES``
+    fixes the result's bytes, as ``MC_CHUNK`` fixes the Monte Carlo
+    oracle's; a one-shot reduction of the grid agrees to rounding.
     """
     chol = _chol(cov)
-    terms = np.empty(_grid_size(len(chol), n_nodes))
-    for rows, z, log_w in _tensor_batches(len(chol), n_nodes):
-        terms[rows] = log_w + log_integrand(z @ chol.T)
-    return float(np.exp(_logsumexp(terms)))
+    _grid_size(len(chol), n_nodes)
+    parts = [_logsumexp(log_w + log_integrand(z @ chol.T))
+             for _, z, log_w in _tensor_batches(len(chol), n_nodes)]
+    return float(np.exp(_logsumexp(parts)))
 
 
 def gauss_hermite_mean(cov: np.ndarray, integrand, n_nodes: int = 40) -> float:
     """E[integrand(g)] for g ~ N(0, cov); for integrands of either sign.
 
-    ``integrand`` is called once per batch of at most ``GH_BATCH_ENTRIES // m`` nodes.
+    ``integrand`` is called once per batch of at most ``GH_BATCH_ENTRIES // m``
+    nodes.  Each batch contributes ``np.sum(weights * values)``, and
+    ``math.fsum`` adds the per-batch sums.  So ``GH_BATCH_ENTRIES`` fixes
+    the result's bytes, as ``MC_CHUNK`` fixes the Monte Carlo oracle's.
+    Partials of +inf and -inf give NaN, as one dot product over the grid
+    would.
     """
     chol = _chol(cov)
-    size = _grid_size(len(chol), n_nodes)
-    weights, values = np.empty(size), np.empty(size)
-    for rows, z, log_w in _tensor_batches(len(chol), n_nodes):
-        weights[rows] = np.exp(log_w)
-        values[rows] = integrand(z @ chol.T)
-    return float(weights @ values)
+    _grid_size(len(chol), n_nodes)
+    parts = [float(np.sum(np.exp(log_w) * integrand(z @ chol.T)))
+             for _, z, log_w in _tensor_batches(len(chol), n_nodes)]
+    try:
+        return math.fsum(parts)
+    except ValueError:              # math.fsum refuses inf + -inf
+        return math.nan
 
 
 def monte_carlo_mean(cov: np.ndarray, integrand, n_draws: int,
                      rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo E[integrand(g)] for g ~ N(0, cov), with its standard error."""
+    """Monte Carlo E[integrand(g)] for g ~ N(0, cov), with its standard error.
+
+    The values of each chunk of ``MC_CHUNK`` draws are summed at once, so
+    ``MC_CHUNK`` fixes the output bytes, as ``GH_BATCH_ENTRIES`` fixes the
+    quadrature's.  Within a chunk the normals are drawn, transformed and
+    integrated in sub-batches of at most ``GH_BATCH_ENTRIES // m`` rows (at
+    least 3) into one chunk-long buffer of values.  The stream, the rows
+    and the values are those of one draw per chunk, but no (chunk, m)
+    array is built.
+    """
+    if n_draws < 2:
+        raise ValueError(f"need n_draws >= 2 (for a standard error), got {n_draws}")
     chol = _chol(cov)
     m = len(chol)
+    limit = max(3, GH_BATCH_ENTRIES // m)
+    vals = np.empty(min(MC_CHUNK, n_draws))
+    z = np.empty((limit, m))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_draws:
         take = min(MC_CHUNK, n_draws - done)
-        vals = integrand(rng.standard_normal((take, m)) @ chol.T)
-        total += vals.sum()
-        total_sq += float(vals @ vals)
+        for rows in _batches(take, limit):
+            zb = z[:rows.stop - rows.start]
+            rng.standard_normal(out=zb)
+            vals[rows] = integrand(zb @ chol.T)
+        total += vals[:take].sum()
+        total_sq += float(np.sum(np.square(vals[:take])))
         done += take
     mean = total / n_draws
-    var = max(total_sq / n_draws - mean**2, 0.0) * n_draws / max(n_draws - 1, 1)
+    var = max(total_sq / n_draws - mean**2, 0.0) * n_draws / (n_draws - 1)
     return float(mean), float(np.sqrt(var / n_draws))

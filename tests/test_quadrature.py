@@ -134,8 +134,28 @@ _BATCH_CASES = [(1, 40, None), (2, 40, None), (3, 40, None), (4, 22, None),
                 (4, 4, 2), (4, 7, 1000)]
 
 
+def _two_level_expect(cov, log_integrand, n_nodes):
+    """The documented rule on the one-shot grid: scipy's logsumexp per batch, then over the batches."""
+    chol = _chol(cov)
+    z, log_w = _one_shot_grid(len(chol), n_nodes)
+    rows = _batches(len(log_w), quadrature.GH_BATCH_ENTRIES // len(chol))
+    return float(np.exp(logsumexp([logsumexp(log_w[r] + log_integrand(z[r] @ chol.T)) for r in rows])))
+
+
+def _two_level_mean(cov, integrand, n_nodes):
+    """The documented rule on the one-shot grid: a NumPy sum per batch, then math.fsum."""
+    chol = _chol(cov)
+    z, log_w = _one_shot_grid(len(chol), n_nodes)
+    rows = _batches(len(log_w), quadrature.GH_BATCH_ENTRIES // len(chol))
+    return math.fsum(float(np.sum(np.exp(log_w[r]) * integrand(z[r] @ chol.T))) for r in rows)
+
+
+def _same_bytes(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize("m, n_nodes, chunk", _BATCH_CASES)
-def test_batched_quadrature_bytes_match_one_shot_grid(monkeypatch, m, n_nodes, chunk):
+def test_batched_quadrature_bytes_match_two_level_reference(monkeypatch, m, n_nodes, chunk):
     if chunk is not None:
         monkeypatch.setattr(quadrature, "GH_BATCH_ENTRIES", chunk * m)
     limit = quadrature.GH_BATCH_ENTRIES // m
@@ -148,9 +168,81 @@ def test_batched_quadrature_bytes_match_one_shot_grid(monkeypatch, m, n_nodes, c
                        np.linspace(-1.0, 1.5, m)[:, None])
     for fn in _lemma_integrands(m):
         got = gauss_hermite_expect(cov, fn, n_nodes=n_nodes)
-        assert np.float64(got).tobytes() == np.float64(_one_shot_expect(cov, fn, n_nodes)).tobytes()
+        assert _same_bytes(got, _two_level_expect(cov, fn, n_nodes))
+        assert math.isclose(got, _one_shot_expect(cov, fn, n_nodes), rel_tol=1e-13)
         got = gauss_hermite_mean(cov, fn, n_nodes=n_nodes)
-        assert np.float64(got).tobytes() == np.float64(_one_shot_mean(cov, fn, n_nodes)).tobytes()
+        assert _same_bytes(got, _two_level_mean(cov, fn, n_nodes))
+        assert math.isclose(got, _one_shot_mean(cov, fn, n_nodes), rel_tol=1e-13, abs_tol=1e-13)
+
+
+def _special_integrands(n_nodes):
+    """Log integrands that put -inf, +inf or NaN on chosen nodes, and the first-batch mask.
+
+    On an identity covariance with batches of one first-axis node, the first
+    batch is exactly the nodes whose first coordinate is the smallest node.
+    """
+    nodes = np.polynomial.hermite_e.hermegauss(n_nodes)[0]
+    low, high = 0.5 * (nodes[0] + nodes[1]), 0.5 * (nodes[-2] + nodes[-1])
+
+    def first_batch(g):
+        return g[:, 0] < low
+
+    def last_node(g):
+        return (g[:, 0] > high) & (g[:, 1] > high)
+
+    def put(mask_of, value, base):
+        return lambda g: np.where(mask_of(g), value, base(g))
+
+    def linear(g):
+        return 0.3 * g[:, 0] - 0.2 * g[:, 1]
+
+    return {
+        "all -inf batch": put(first_batch, -np.inf, linear),
+        "all -inf grid": lambda g: np.full(len(g), -np.inf),
+        "+inf node": put(last_node, np.inf, linear),
+        "+inf node, -inf batch": put(last_node, np.inf, put(first_batch, -np.inf, linear)),
+        "NaN node": put(last_node, np.nan, linear),
+        "NaN node, -inf batch": put(last_node, np.nan, put(first_batch, -np.inf, linear)),
+    }, first_batch
+
+
+@pytest.mark.parametrize("case", ["all -inf batch", "all -inf grid", "+inf node",
+                                  "+inf node, -inf batch", "NaN node", "NaN node, -inf batch"])
+def test_two_level_logsumexp_meets_special_values_as_the_one_shot_reduction(monkeypatch, case):
+    n_nodes = 8
+    monkeypatch.setattr(quadrature, "GH_BATCH_ENTRIES", n_nodes * 2)
+    integrands, first_batch = _special_integrands(n_nodes)
+    cov = np.eye(2)
+    z, _ = _one_shot_grid(2, n_nodes)
+    assert first_batch(z @ _chol(cov).T).sum() == n_nodes          # one whole batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _one_shot_expect(cov, integrands[case], n_nodes)
+        reference = _two_level_expect(cov, integrands[case], n_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gauss_hermite_expect(cov, integrands[case], n_nodes=n_nodes)
+    assert _same_bytes(got, reference)
+    if math.isfinite(want):
+        assert math.isclose(got, want, rel_tol=1e-13)
+    else:
+        np.testing.assert_equal(got, want)
+
+
+def test_two_level_mean_of_plus_and_minus_infinity_is_nan_as_one_dot_product(monkeypatch):
+    n_nodes = 8
+    monkeypatch.setattr(quadrature, "GH_BATCH_ENTRIES", n_nodes * 2)
+    _, first_batch = _special_integrands(n_nodes)
+
+    def signed_infinities(g):
+        return np.where(first_batch(g), -np.inf, np.where(g[:, 0] > 0, np.inf, 0.0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert math.isnan(_one_shot_mean(np.eye(2), signed_infinities, n_nodes))
+    assert math.isnan(gauss_hermite_mean(np.eye(2), signed_infinities, n_nodes=n_nodes))
+    assert gauss_hermite_mean(np.eye(2), lambda g: np.where(first_batch(g), np.inf, 0.0),
+                              n_nodes=n_nodes) == np.inf
 
 
 def test_quadrature_batch_limit_is_at_least_three_on_every_allowed_grid():
@@ -180,11 +272,11 @@ def test_four_atom_oracles_stay_below_256_mib():
 
 
 @pytest.mark.parametrize("oracle", ["expo_ineq", "log_moment_bounds"])
-def test_four_atom_oracle_peaks_below_48_mib(oracle):
-    """Node batches of GH_BATCH_ENTRIES coordinates leave the n^m reduction arrays as the peak.
+def test_four_atom_oracle_peaks_below_8_mib(oracle):
+    """Each node batch is reduced at once, so no array grows with the 40^4-node grid.
 
-    In a fresh process the two checks peak at 43.6 and 41.7 MiB; with the
-    earlier 200,000-node batches they peaked at 62.5 and 78.9 MiB.
+    In a fresh process the two checks peak at 4.4 MiB (2.8 MiB on a second
+    call); holding the n^m reduction arrays they peaked at 43.6 and 43.4 MiB.
     """
     case = next(c for c in random_expo_cases(20240817) if len(c.mu_atoms) == 4)
     tracemalloc.start()
@@ -197,7 +289,78 @@ def test_four_atom_oracle_peaks_below_48_mib(oracle):
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 48, peak
+    assert peak < 8, peak
+
+
+@pytest.mark.parametrize("oracle", ["expo_ineq", "log_moment_bounds"])
+def test_four_atom_monte_carlo_peaks_below_8_mib(oracle):
+    """200,000 draws at m = 4 build no (chunk, m) array.
+
+    In a fresh process the two checks peak at 4.8 and 4.7 MiB; with
+    whole-chunk temporaries they peaked at 29.3 and 27.8 MiB.
+    """
+    case = next(c for c in random_expo_cases(20240817) if len(c.mu_atoms) == 4)
+    tracemalloc.start()
+    try:
+        if oracle == "expo_ineq":
+            report = check_expo_ineq(case, method="mc", n_draws=200_000)
+        else:
+            report = check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta,
+                                             case.kernel, method="mc", n_draws=200_000)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.estimate) and report.stderr > 0
+    assert peak < 8, peak
+
+
+# -- Monte Carlo sub-batches against one draw per chunk -----------------------
+
+
+def _one_draw_per_chunk(cov, integrand, n_draws, rng):
+    """Each chunk's normals drawn, transformed and integrated at once; sum of squares BLAS-free."""
+    chol = _chol(cov)
+    m = len(chol)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_draws:
+        take = min(quadrature.MC_CHUNK, n_draws - done)
+        vals = integrand(rng.standard_normal((take, m)) @ chol.T)
+        total += vals.sum()
+        total_sq += float(np.sum(np.square(vals)))
+        done += take
+    mean = total / n_draws
+    var = max(total_sq / n_draws - mean**2, 0.0) * n_draws / (n_draws - 1)
+    return float(mean), float(np.sqrt(var / n_draws))
+
+
+def _mc_integrands(m):
+    """exp-linear, tanh and lemma21-style (exp of a linear term minus a log-sum-exp) integrands."""
+    rng = tagged_stream(5, 11, m)
+    a = rng.uniform(-1.0, 1.0, m)
+    log_mu = np.log(rng.dirichlet(np.ones(m)))
+    beta, q = 0.6, 1.3
+    return [lambda g: np.exp(g @ a),
+            lambda g: np.tanh(g[:, 0] + 0.2 * g[:, -1]),
+            lambda g: np.exp(beta * (g @ a) - q * logsumexp(log_mu + beta * g, axis=1))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n_draws", [2, 3, 12_499, 12_500, 12_501, 200_000, 200_001, 412_503])
+def test_monte_carlo_sub_batches_match_one_draw_per_chunk(m, n_draws):
+    cov = gamma_matrix(KernelSpec(kind="exponential-petermann", lam=1.3),
+                       np.linspace(-1.0, 1.5, m)[:, None])
+    for i, fn in enumerate(_mc_integrands(m)):
+        got = monte_carlo_mean(cov, fn, n_draws, tagged_stream(7, m, i))
+        want = _one_draw_per_chunk(cov, fn, n_draws, tagged_stream(7, m, i))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (i, got, want)
+
+
+@pytest.mark.parametrize("n_draws", [0, 1, -5])
+def test_monte_carlo_needs_two_draws(n_draws):
+    with pytest.raises(ValueError, match=r"n_draws >= 2"):
+        monte_carlo_mean(np.eye(2), lambda g: g[:, 0], n_draws, tagged_stream(1, 2, 3))
 
 
 # -- the lean log-sum-exp against scipy.special.logsumexp ----------------------
