@@ -11,7 +11,10 @@ Subcommands
     shared summary JSON.  girsanov, meancontrol, concentration and
     increment run in d = 1 only, and they and the d = 1 ball run on the
     grid whatever ``backend.kind`` says; at d > 1, ``all`` runs lemma21,
-    lemma22 and ball.
+    lemma22 and ball.  The tilts of girsanov (two lambdas), meancontrol
+    (every alpha) and the d = 1 ball (both j's) share one field and one
+    path set per (replica, n); the d > 1 ball, on the exact backend, runs
+    its one j per call.
 ``xi-scan`` / ``fluct-fit``
     Containment-mass tables and the spread-slope fit.
 
@@ -141,23 +144,17 @@ def _suite_lemma22(cfg: RunConfig) -> list[BoundCheckReport]:
 
 
 def _suite_girsanov(cfg: RunConfig) -> list[BoundCheckReport]:
-    params = GibbsParams(beta=cfg.beta, M=cfg.M)
     spacing = grid_spacing(cfg.kernel, cfg.h)
-    reports = []
-    for lam in (spacing, 2.0 * spacing):    # lattice multiples keep the identity exact
-        reports.append(girsanov_identity_test(max(cfg.n_grid), lam, params, cfg.env_seeds(),
-                                              kernel=cfg.kernel, h=cfg.h, L=cfg.L,
-                                              threads=cfg.threads))
-    return reports
+    # lattice multiples keep the identity exact
+    return girsanov_identity_test(max(cfg.n_grid), (spacing, 2.0 * spacing),
+                                  GibbsParams(beta=cfg.beta, M=cfg.M), cfg.env_seeds(),
+                                  kernel=cfg.kernel, h=cfg.h, L=cfg.L, threads=cfg.threads)
 
 
 def _suite_meancontrol(cfg: RunConfig) -> list[BoundCheckReport]:
-    params = GibbsParams(beta=cfg.beta, M=cfg.M)
-    reports = []
-    for alpha in cfg.alphas:
-        reports += mean_control_test(alpha, cfg.n_grid, params, cfg.env_seeds(),
-                                     kernel=cfg.kernel, h=cfg.h, L=cfg.L, threads=cfg.threads)
-    return reports
+    return mean_control_test(cfg.alphas, cfg.n_grid, GibbsParams(beta=cfg.beta, M=cfg.M),
+                             cfg.env_seeds(), kernel=cfg.kernel, h=cfg.h, L=cfg.L,
+                             threads=cfg.threads)
 
 
 def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
@@ -171,10 +168,8 @@ def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
     params = GibbsParams(beta=cfg.beta, M=M_eff)
     reports = []
     for n in BALL_N_VALUES:
-        for j in j_list:
-            reports.append(ball_bound_test(BALL_ALPHA, n, n, j, params, cfg.env_seeds(R_eff),
-                                           kernel=cfg.kernel, h=cfg.h, L=cfg.L,
-                                           threads=cfg.threads))
+        reports += ball_bound_test(BALL_ALPHA, n, n, j_list, params, cfg.env_seeds(R_eff),
+                                   kernel=cfg.kernel, h=cfg.h, L=cfg.L, threads=cfg.threads)
     return reports
 
 

@@ -17,8 +17,11 @@ with a cross-replica standard error.
 The estimators take H, never an environment; :func:`hamiltonian` is the one
 map from a field and paths to H.  :func:`replica_over_n` builds every
 quenched estimator's replica (paths, field, H) but that of
-``verify._tilted_log_mass``, which must query a free and a tilted ensemble
-together on one field, where :func:`replica_over_n` gives H of one ensemble.
+``verify._tilted_log_mass``, which must query a free ensemble and every
+tilted one together on one field, where :func:`replica_over_n` gives H of
+one ensemble.  Every weighted sum here is ``np.sum`` of an elementwise
+product, never a BLAS dot, whose split of long sums depends on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def _normalized_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, float, float
     if not np.isfinite(log_total):
         raise ValueError("all importance weights vanished")
     w_bar = np.exp(log_w - log_total)
-    ess = min(1.0 / float(w_bar @ w_bar), float(log_w.size))   # at most M; rounding can exceed it
+    ess = min(1.0 / float(np.sum(w_bar * w_bar)), float(log_w.size))   # at most M; rounding can exceed it
     # the floor of 2 catches total collapse in small ensembles; min() keeps M=1 silent
     threshold = max(ESS_WARN_FRACTION * log_w.size, min(2.0, log_w.size))
     if ess < threshold:
@@ -162,7 +165,7 @@ def gibbs_expect(beta: float, h: np.ndarray, f) -> GibbsEstimate:
 
     ``f`` holds the functional's value on each path, shaped like the
     Hamiltonians ``h``.  The weighted sum is divided by the weights' own
-    sum, taken with the same dot product, so the all-ones functional gives
+    sum, taken in the same pairwise order, so the all-ones functional gives
     exactly 1.  Indicator-valued functionals are clipped to [0, 1] against
     floating-point drift.
     """
@@ -170,7 +173,7 @@ def gibbs_expect(beta: float, h: np.ndarray, f) -> GibbsEstimate:
     if f_vals.shape != h.shape:
         raise ValueError(f"functional has shape {f_vals.shape}, expected {h.shape}")
     w_bar, ess, _ = _normalized_log_weights(beta * h)
-    value = float(w_bar @ f_vals) / float(w_bar @ np.ones_like(w_bar))
+    value = float(np.sum(w_bar * f_vals)) / float(np.sum(w_bar))
     resid = f_vals - value
     stderr = float(np.sqrt(np.sum((w_bar * resid) ** 2)))
     if np.all((f_vals == 0.0) | (f_vals == 1.0)):

@@ -7,7 +7,12 @@ never be "too satisfied").  Oracles are independent of the estimators
 they certify: exponential/log-moment expectations use tensorized
 Gauss-Hermite quadrature or plain Monte Carlo over the exact joint
 Gaussian, while the polymer functionals use tilted-proposal importance
-sampling with exact reweighting.
+sampling with exact reweighting.  The tilts of one suite and one n (the
+alphas of mean control, the j's of the d = 1 ball, the lambdas of the
+Girsanov identity) share one field and one path set per (replica, n), on a
+grid wide enough for the largest drift; the exact backend (d > 1 ball)
+takes one j per field, since its joint Cholesky is cubic in the number of
+points queried together.
 """
 
 from __future__ import annotations
@@ -222,108 +227,146 @@ def check_log_moment_bounds(mu_atoms, mu_weights, beta: float, kernel: KernelSpe
 
 
 def _tilted_log_mass(seed: int, kernel: KernelSpec, n: int, M: int, beta: float,
-                     tilt: TiltSpec, event_fn, d: int = 1, backend: str = "grid",
-                     h: float | None = None, L: float | None = None) -> tuple[float, bool]:
-    """Per-environment log <1_event> via the tilted proposal; True if smoothed."""
+                     tilts, events, d: int = 1, backend: str = "grid",
+                     h: float | None = None, L: float | None = None) -> list[tuple[float, bool]]:
+    """Per-environment log <1_event> of each (tilt, event) pair via its tilted proposal.
+
+    Returns one (value, True if smoothed) pair per tilt.  One set of M
+    paths serves every tilt, and one query per slice covers the plain
+    ensemble and every tilted one, so all of them are exactly coupled on a
+    single realization; log Z of the plain ensemble is taken once.  A path's
+    H does not depend on the other paths queried with it, so each pair
+    equals a single-tilt call on the same field.
+    """
     paths = sample_paths(seed, M, n, d)
-    tilted = tilt_path(paths, tilt)
-    log_w = tilt_log_weight(tilted, tilt)
-    hits = np.asarray(event_fn(tilted), dtype=bool)
-    # One query per slice covering both ensembles keeps the pair exactly
-    # coupled on a single realization.
-    both = PathEnsemble(np.concatenate([paths.positions, tilted.positions]))
-    h0, h1 = np.split(replica_hamiltonian(seed, both, beta, kernel, d=d, backend=backend,
-                                          h=h, L=L), 2)
-    if not hits.any():
-        # add-one smoothing: one pseudo-hit out of M+1, a conservative
-        # upper bound that keeps one-sided checks valid
-        return -math.log(M + 1.0), True
-    value = _logsumexp(beta * h1[hits] + log_w[hits]) - _logsumexp(beta * h0)
-    return float(value), False
+    tilted = [tilt_path(paths, tilt) for tilt in tilts]
+    every = PathEnsemble(np.concatenate([paths.positions, *(t.positions for t in tilted)]))
+    h0, *h_tilted = np.split(replica_hamiltonian(seed, every, beta, kernel, d=d, backend=backend,
+                                                 h=h, L=L), len(tilted) + 1)
+    log_z = _logsumexp(beta * h0)
+    out = []
+    for tilt, event_fn, ensemble, h1 in zip(tilts, events, tilted, h_tilted):
+        hits = np.asarray(event_fn(ensemble), dtype=bool)
+        if not hits.any():
+            # add-one smoothing: one pseudo-hit out of M+1, a conservative
+            # upper bound that keeps one-sided checks valid
+            out.append((-math.log(M + 1.0), True))
+            continue
+        log_w = tilt_log_weight(ensemble, tilt)
+        out.append((float(_logsumexp(beta * h1[hits] + log_w[hits]) - log_z), False))
+    return out
 
 
-def _tilted_report(name: str, bound: float, env_seeds, threads: int, **mass_args) -> BoundCheckReport:
-    """Quenched mean of :func:`_tilted_log_mass` against an upper bound."""
+def _tilted_report(names, bounds, env_seeds, threads: int, **mass_args) -> list[BoundCheckReport]:
+    """Quenched mean of each tilt's :func:`_tilted_log_mass` against its upper bound.
+
+    One :func:`quenched_average` builds each replica once for every tilt.
+    """
     qa = quenched_average(env_seeds, lambda s: _tilted_log_mass(s, **mass_args), threads=threads)
-    smoothed = int(qa.values[:, 1].sum())
-    return make_report(name, qa.mean[0], qa.stderr[0], upper=bound,
-                       notes=f"smoothed_replicas={smoothed}" if smoothed else "")
+    reports = []
+    for t, (name, bound) in enumerate(zip(names, bounds)):
+        smoothed = int(qa.values[:, t, 1].sum())
+        reports.append(make_report(name, qa.mean[2 * t], qa.stderr[2 * t], upper=bound,
+                                   notes=f"smoothed_replicas={smoothed}" if smoothed else ""))
+    return reports
 
 
-def girsanov_identity_test(n: int, lam: float, params: GibbsParams, env_seeds,
+def girsanov_identity_test(n: int, lams, params: GibbsParams, env_seeds,
                            kernel: KernelSpec = KernelSpec(),
                            h: float | None = None, L: float | None = None,
-                           threads: int = 1) -> BoundCheckReport:
-    """Environment mean of log <exp(lam S_n - n lam^2/2)> must vanish.
+                           threads: int = 1) -> list[BoundCheckReport]:
+    """Environment mean of log <exp(lam S_n - n lam^2/2)> must vanish, one report per lam of ``lams``.
 
     d=1, grid backend.  The identity is exact for the grid field when the
     per-step drift ``lam`` is an integer multiple of the grid spacing
     (lattice shifts preserve the synthesized field's law); otherwise it
-    holds up to a discretization remainder.
+    holds up to a discretization remainder.  Every lam is evaluated on one
+    field and one path set per replica; the default L covers the largest
+    drift.
     """
-    L_eff = L if L is not None else suggested_halfwidth(n, drift=n * abs(lam))
+    lams = [float(lam) for lam in lams]
+    L_eff = L if L is not None else suggested_halfwidth(n, drift=n * max(abs(lam) for lam in lams))
 
-    def log_ratio(paths, hv, n) -> float:
-        log_m = lam * paths.endpoints[:, 0] - 0.5 * n * lam**2
-        return float(_logsumexp(params.beta * hv + log_m) - _logsumexp(params.beta * hv))
+    def log_ratios(paths, hv, n) -> list[float]:
+        log_z = _logsumexp(params.beta * hv)
+        return [float(_logsumexp(params.beta * hv + (lam * paths.endpoints[:, 0] - 0.5 * n * lam**2))
+                      - log_z) for lam in lams]
 
     qa = quenched_average(env_seeds, lambda s: replica_over_n(
-        s, [n], params, log_ratio, kernel, h=h, L=L_eff), threads=threads)
-    return make_report(f"girsanov_identity(n={n},beta={params.beta:g},lambda={lam:g})",
-                       qa.mean[0], qa.stderr[0], lower=0.0, upper=0.0)
+        s, [n], params, log_ratios, kernel, h=h, L=L_eff), threads=threads)
+    return [make_report(f"girsanov_identity(n={n},beta={params.beta:g},lambda={lam:g})",
+                        mean, stderr, lower=0.0, upper=0.0)
+            for lam, mean, stderr in zip(lams, qa.mean, qa.stderr)]
 
 
-def mean_control_test(alpha: float, n_grid, params: GibbsParams, env_seeds,
+def mean_control_test(alphas, n_grid, params: GibbsParams, env_seeds,
                       kernel: KernelSpec = KernelSpec(),
                       h: float | None = None, L: float | None = None,
                       threads: int = 1) -> list[BoundCheckReport]:
-    """Quenched mean of log <1_{S_n >= n^alpha}> against -n^(2 alpha - 1)/2 (d=1)."""
-    if alpha <= MEAN_CONTROL_MIN_ALPHA:
-        raise ValueError(f"alpha must exceed 1/2, got {alpha}")
-    reports = []
+    """Quenched mean of log <1_{S_n >= n^alpha}> against -n^(2 alpha - 1)/2 (d=1).
+
+    One report per (alpha, n), alpha-major.  Every alpha of one n is
+    evaluated on one field and one path set per replica; the default L
+    covers the largest drift n^alpha.
+    """
+    alphas = [float(alpha) for alpha in alphas]
+    if min(alphas) <= MEAN_CONTROL_MIN_ALPHA:
+        raise ValueError(f"alpha must exceed 1/2, got {min(alphas)}")
+    by_n = []
     for n in n_grid:
-        a = float(n) ** alpha
-        reports.append(_tilted_report(
-            f"mean_control(n={n},alpha={alpha:g},beta={params.beta:g})",
-            -0.5 * float(n) ** (2 * alpha - 1), env_seeds, threads,
+        drifts = [float(n) ** alpha for alpha in alphas]
+        by_n.append(_tilted_report(
+            [f"mean_control(n={n},alpha={alpha:g},beta={params.beta:g})" for alpha in alphas],
+            [-0.5 * float(n) ** (2 * alpha - 1) for alpha in alphas], env_seeds, threads,
             kernel=kernel, n=n, M=params.M, beta=params.beta,
-            tilt=TiltSpec(lambda_tilde=np.array([a]), k=n),
-            event_fn=lambda t: t.endpoints[:, 0] >= a,
-            h=h, L=L if L is not None else suggested_halfwidth(n, drift=a)))
-    return reports
+            tilts=[TiltSpec(lambda_tilde=np.array([a]), k=n) for a in drifts],
+            events=[lambda t, a=a: t.endpoints[:, 0] >= a for a in drifts],
+            h=h, L=L if L is not None else suggested_halfwidth(n, drift=max(drifts))))
+    return [reports[a] for a in range(len(alphas)) for reports in by_n]
 
 
-def ball_bound_test(alpha: float, n: int, k: int, j, params: GibbsParams, env_seeds,
+def ball_bound_test(alpha: float, n: int, k: int, js, params: GibbsParams, env_seeds,
                     kernel: KernelSpec = KernelSpec(),
                     h: float | None = None, L: float | None = None,
-                    threads: int = 1) -> BoundCheckReport:
-    """Quenched mean of log <1_{S_k in B(j n^alpha, n^alpha)}> against its bound.
+                    threads: int = 1) -> list[BoundCheckReport]:
+    """Quenched mean of log <1_{S_k in B(j n^alpha, n^alpha)}> against its bound, per j of ``js``.
 
-    ``j`` is a nonzero vector of even integers; the proved bound scales
-    with sum_i (j_i - sgn(j_i))^2.  d=1 runs on the grid backend, d > 1 on
-    the exact backend.
+    Each j is a nonzero vector of even integers, all of one dimension d;
+    the proved bound scales with sum_i (j_i - sgn(j_i))^2.  d=1 runs on the
+    grid backend, with every j on one field and one path set per replica
+    and a default L that covers the largest drift.  d > 1 runs on the exact
+    backend, one j per field: its joint Cholesky is cubic in the number of
+    points queried together.
     """
-    j = np.atleast_1d(np.asarray(j, dtype=int))
-    if np.all(j == 0) or np.any(j % 2 != 0):
+    js = [np.atleast_1d(np.asarray(j, dtype=int)) for j in js]
+    if not js or len({j.size for j in js}) != 1:
+        raise ValueError("js must be a nonempty list of vectors of one dimension")
+    if any(np.all(j == 0) or np.any(j % 2 != 0) for j in js):
         raise ValueError("j must be a nonzero vector of even integers")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    d = j.size
+    d = js[0].size
     radius = float(n) ** alpha
-    center = j * radius
-    eps = np.sign(j)
-    tilt = TiltSpec(lambda_tilde=(j - eps) * radius, k=k)
+    tilts = [TiltSpec(lambda_tilde=(j - np.sign(j)) * radius, k=k) for j in js]
     if d == 1 and L is None:
-        L = suggested_halfwidth(n, drift=float(np.abs(tilt.lambda_tilde).max()), margin=radius + 1)
+        L = suggested_halfwidth(n, drift=max(float(np.abs(t.lambda_tilde).max()) for t in tilts),
+                                margin=radius + 1)
 
-    def event(t: PathEnsemble) -> np.ndarray:
-        return np.abs(t.positions[:, k - 1, :] - center).max(axis=1) <= radius
+    def event(center: np.ndarray):
+        return lambda t: np.abs(t.positions[:, k - 1, :] - center).max(axis=1) <= radius
 
-    return _tilted_report(
-        f"ball_bound(n={n},k={k},j={tuple(int(x) for x in j)},alpha={alpha:g},beta={params.beta:g})",
-        -0.5 * float(n) ** (2 * alpha - 1) * float(((j - eps) ** 2).sum()), env_seeds, threads,
-        kernel=kernel, n=n, M=params.M, beta=params.beta, tilt=tilt, event_fn=event,
-        d=d, backend="grid" if d == 1 else "exact", h=h, L=L)
+    names = [f"ball_bound(n={n},k={k},j={tuple(int(x) for x in j)},alpha={alpha:g},"
+             f"beta={params.beta:g})" for j in js]
+    bounds = [-0.5 * float(n) ** (2 * alpha - 1) * float(((j - np.sign(j)) ** 2).sum()) for j in js]
+    events = [event(j * radius) for j in js]
+    groups = [slice(None)] if d == 1 else [slice(i, i + 1) for i in range(len(js))]
+    reports = []
+    for group in groups:
+        reports += _tilted_report(names[group], bounds[group], env_seeds, threads,
+                                  kernel=kernel, n=n, M=params.M, beta=params.beta,
+                                  tilts=tilts[group], events=events[group],
+                                  d=d, backend="grid" if d == 1 else "exact", h=h, L=L)
+    return reports
 
 
 # -- concentration ------------------------------------------------------------
@@ -441,11 +484,17 @@ def _conditional_log_w(n: int, j: int, params: GibbsParams, seed: int, kernel: K
 
     def inner_means(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         log_norm = np.log(u.sum(axis=1))
+        step = max(1, MC_CHUNK // len(u))
+        # one block buffer for every batch: a fresh block per batch is
+        # mapped and faulted in again each time
+        block = np.empty(len(u) * min(step, n_inner))
         sums = []
         for offset in (0, n_inner):
             total = np.zeros(len(u))
-            for rows in _batches(n_inner, max(1, MC_CHUNK // len(u))):
-                log_w = np.log(u @ v[offset + rows.start:offset + rows.stop].T)
+            for rows in _batches(n_inner, step):
+                log_w = block[:len(u) * (rows.stop - rows.start)].reshape(len(u), -1)
+                np.matmul(u, v[offset + rows.start:offset + rows.stop].T, out=log_w)
+                np.log(log_w, out=log_w)
                 log_w -= log_norm[:, None]
                 total += log_w.sum(axis=1)
             sums.append(total)

@@ -181,6 +181,17 @@ def test_concentration_scan_matches_per_n_loop():
 @pytest.mark.parametrize("L", [None, 12.0])
 def test_girsanov_identity_matches_per_seed_reference(L):
     params = GibbsParams(beta=0.5, M=80)
-    args = (6, 0.2, params, range(40, 46))
+    seeds = range(40, 46)
     kw = dict(kernel=KernelSpec(lam=0.9), L=L)
-    assert girsanov_identity_test(*args, **kw) == reference_girsanov_identity_test(*args, **kw)
+    assert girsanov_identity_test(6, [0.2], params, seeds, **kw) == [
+        reference_girsanov_identity_test(6, 0.2, params, seeds, **kw)]
+
+
+@pytest.mark.parametrize("L", [None, 12.0])
+def test_girsanov_lambdas_share_one_replica(L):
+    # without an explicit L both lambdas run on the grid of the larger drift
+    h, n, params, seeds = 0.1, 6, GibbsParams(beta=0.5, M=80), range(40, 46)
+    L_shared = L if L is not None else suggested_halfwidth(n, drift=n * 2 * h)
+    got = girsanov_identity_test(n, [h, 2 * h], params, seeds, h=h, L=L, threads=2)
+    assert got == [reference_girsanov_identity_test(n, lam, params, seeds, h=h, L=L_shared)
+                   for lam in (h, 2 * h)]

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,9 @@ from scipy.stats import norm
 
 from polymerlab.environment import (_DOMAIN_PROBE_INNER, EnvironmentHandle, suggested_halfwidth,
                                     tagged_stream)
-from polymerlab.gibbs import GibbsParams, ReplicaError, hamiltonian
+from polymerlab import gibbs
+from polymerlab.cli import main
+from polymerlab.gibbs import GibbsParams, ReplicaError, hamiltonian, quenched_average, replica_hamiltonian
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
 from polymerlab.verify import (BoundConstants, ExpoIneqCase, _conditional_log_w, _draw_batches,
@@ -16,7 +19,7 @@ from polymerlab.verify import (BoundConstants, ExpoIneqCase, _conditional_log_w,
                                check_log_moment_bounds, concentration_bound, concentration_scan,
                                girsanov_identity_test, make_report, martingale_increment_probe,
                                mean_control_test, random_expo_cases)
-from polymerlab.walk import TiltSpec, sample_paths
+from polymerlab.walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_path
 
 UNIT = KernelSpec()
 
@@ -146,23 +149,23 @@ def test_log_moment_randomized_cases_inside_bounds():
 
 
 def test_girsanov_zero_drift_is_identically_zero():
-    rep = girsanov_identity_test(8, 0.0, GibbsParams(beta=0.5, M=64), range(4))
+    rep, = girsanov_identity_test(8, [0.0], GibbsParams(beta=0.5, M=64), range(4))
     assert rep.estimate == 0.0 and rep.stderr == 0.0 and rep.passed
 
 
 def test_girsanov_free_measure_martingale_mean():
-    rep = girsanov_identity_test(12, 0.2, GibbsParams(beta=0.0, M=4000), range(40))
+    rep, = girsanov_identity_test(12, [0.2], GibbsParams(beta=0.0, M=4000), range(40))
     assert rep.passed and abs(rep.estimate) < 0.05
 
 
 def test_girsanov_quenched_identity_small():
-    rep = girsanov_identity_test(16, 0.1, GibbsParams(beta=0.5, M=2000), range(500, 560))
+    rep, = girsanov_identity_test(16, [0.1], GibbsParams(beta=0.5, M=2000), range(500, 560))
     assert rep.passed
 
 
 def test_girsanov_domain_error_when_grid_too_small():
     with pytest.raises(ReplicaError):
-        girsanov_identity_test(16, 0.1, GibbsParams(beta=0.5, M=100), range(3), L=1.0)
+        girsanov_identity_test(16, [0.1], GibbsParams(beta=0.5, M=100), range(3), L=1.0)
 
 
 # -- mean control ----------------------------------------------------------------
@@ -170,7 +173,9 @@ def test_girsanov_domain_error_when_grid_too_small():
 
 def test_mean_control_requires_alpha_above_half():
     with pytest.raises(ValueError):
-        mean_control_test(0.4, [4], GibbsParams(beta=0.5, M=10), range(2))
+        mean_control_test([0.4], [4], GibbsParams(beta=0.5, M=10), range(2))
+    with pytest.raises(ValueError):
+        mean_control_test([0.8, 0.5], [4], GibbsParams(beta=0.5, M=10), range(2))
 
 
 def test_mean_control_free_measure_analytic_bound():
@@ -184,7 +189,7 @@ def test_mean_control_free_measure_analytic_bound():
 
 
 def test_mean_control_small_run_passes():
-    reports = mean_control_test(0.8, [4, 9], GibbsParams(beta=0.5, M=500), range(40))
+    reports = mean_control_test([0.8], [4, 9], GibbsParams(beta=0.5, M=500), range(40))
     assert len(reports) == 2
     for rep, n in zip(reports, [4, 9]):
         assert rep.upper_bound == pytest.approx(-0.5 * n ** 0.6)
@@ -192,10 +197,113 @@ def test_mean_control_small_run_passes():
 
 
 def test_tilted_log_mass_smoothing_on_zero_hits():
-    value, smoothed = _tilted_log_mass(0, UNIT, 4, 50, 0.0, TiltSpec(np.array([1.0]), 4),
-                                       lambda t: np.zeros(t.M, dtype=bool), L=20.0)
+    (value, smoothed), = _tilted_log_mass(0, UNIT, 4, 50, 0.0, [TiltSpec(np.array([1.0]), 4)],
+                                         [lambda t: np.zeros(t.M, dtype=bool)], L=20.0)
     assert smoothed
     assert value == pytest.approx(-math.log(51.0))
+
+
+# -- tilts sharing one replica -----------------------------------------------------
+
+
+def reference_tilted_log_mass(seed, kernel, n, M, beta, tilt, event_fn, d=1, backend="grid",
+                              h=None, L=None):
+    """The single-tilt estimator as it stood before tilts shared a replica: one field
+    and one path set per tilt, queried as [plain, tilted]."""
+    paths = sample_paths(seed, M, n, d)
+    tilted = tilt_path(paths, tilt)
+    log_w = tilt_log_weight(tilted, tilt)
+    hits = np.asarray(event_fn(tilted), dtype=bool)
+    both = PathEnsemble(np.concatenate([paths.positions, tilted.positions]))
+    h0, h1 = np.split(replica_hamiltonian(seed, both, beta, kernel, d=d, backend=backend,
+                                          h=h, L=L), 2)
+    if not hits.any():
+        return -math.log(M + 1.0), True
+    value = _logsumexp(beta * h1[hits] + log_w[hits]) - _logsumexp(beta * h0)
+    return float(value), False
+
+
+def reference_tilted_report(name, bound, seeds, **mass_args):
+    qa = quenched_average(seeds, lambda s: reference_tilted_log_mass(s, **mass_args))
+    smoothed = int(qa.values[:, 1].sum())
+    return make_report(name, qa.mean[0], qa.stderr[0], upper=bound,
+                       notes=f"smoothed_replicas={smoothed}" if smoothed else "")
+
+
+@pytest.mark.parametrize("L", [None, 30.0])
+def test_mean_control_rows_equal_single_tilt_calls_on_the_shared_grid(L):
+    # without an explicit L every alpha of one n runs on the grid of the largest drift
+    alphas, n_grid, params, seeds = [0.6, 0.7, 0.75, 0.8], [4, 9], GibbsParams(beta=0.5, M=120), range(5)
+    got = mean_control_test(alphas, n_grid, params, seeds, L=L, threads=2)
+    want = []
+    for alpha in alphas:
+        for n in n_grid:
+            a = float(n) ** alpha
+            want.append(reference_tilted_report(
+                f"mean_control(n={n},alpha={alpha:g},beta=0.5)", -0.5 * float(n) ** (2 * alpha - 1),
+                seeds, kernel=UNIT, n=n, M=params.M, beta=params.beta,
+                tilt=TiltSpec(np.array([a]), n), event_fn=lambda t, a=a: t.endpoints[:, 0] >= a,
+                L=L if L is not None else suggested_halfwidth(n, drift=float(n) ** 0.8)))
+    assert got == want
+
+
+@pytest.mark.parametrize("L", [None, 50.0])
+def test_d1_ball_rows_equal_single_tilt_calls_on_the_shared_grid(L):
+    n, params, seeds = 9, GibbsParams(beta=0.5, M=150), range(10, 16)
+    radius = 9.0 ** 0.75
+    got = ball_bound_test(0.75, n, n, [(2,), (4,)], params, seeds, L=L)
+    want = [reference_tilted_report(
+        f"ball_bound(n=9,k=9,j=({j},),alpha=0.75,beta=0.5)", -0.5 * 3.0 * (j - 1) ** 2, seeds,
+        kernel=UNIT, n=n, M=params.M, beta=params.beta,
+        tilt=TiltSpec(np.array([(j - 1) * radius]), n),
+        event_fn=lambda t, j=j: np.abs(t.positions[:, n - 1, :] - j * radius).max(axis=1) <= radius,
+        L=L if L is not None else suggested_halfwidth(n, drift=3 * radius, margin=radius + 1))
+        for j in (2, 4)]
+    assert got == want
+
+
+def test_d2_exact_ball_takes_one_j_per_field():
+    kernel = KernelSpec(kind="product-exponential")
+    n, params, seeds = 4, GibbsParams(beta=0.4, M=40), range(3)
+    radius = 4.0 ** 0.75
+    js = [(2, 2), (-2, 2)]
+    got = ball_bound_test(0.75, n, n, js, params, seeds, kernel=kernel)
+    want = []
+    for j in js:
+        j = np.array(j)
+        want.append(reference_tilted_report(
+            f"ball_bound(n=4,k=4,j={tuple(int(x) for x in j)},alpha=0.75,beta=0.4)",
+            -0.5 * 2.0 * 2.0, seeds, kernel=kernel, n=n, M=params.M, beta=params.beta,
+            tilt=TiltSpec((j - np.sign(j)) * radius, n),
+            event_fn=lambda t, c=j * radius: np.abs(t.positions[:, n - 1, :] - c).max(axis=1) <= radius,
+            d=2, backend="exact"))
+    assert got == want
+
+
+def test_tilted_log_mass_pairs_equal_single_tilt_calls():
+    tilts = [TiltSpec(np.array([a]), 4) for a in (0.0, 2.0, 3.0)]
+    events = [lambda t: t.endpoints[:, 0] >= 0.0, lambda t: t.endpoints[:, 0] >= 2.0,
+              lambda t: np.zeros(t.M, dtype=bool)]
+    got = _tilted_log_mass(7, UNIT, 4, 80, 0.6, tilts, events, L=50.0)
+    want = [reference_tilted_log_mass(7, UNIT, 4, 80, 0.6, t, e, L=50.0) for t, e in zip(tilts, events)]
+    assert got == want and got[2] == (-math.log(81.0), True) and not got[1][1]
+
+
+@pytest.mark.parametrize("L", [None, 40.0])
+def test_verify_meancontrol_builds_one_handle_per_replica_and_n(tmp_path, monkeypatch, L):
+    built = []
+
+    class CountingHandle(EnvironmentHandle):
+        def __init__(self, seed, *args, **kwargs):
+            built.append(seed)
+            super().__init__(seed, *args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "EnvironmentHandle", CountingHandle)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alphas": [0.6, 0.7, 0.75, 0.8], "n_grid": [4, 9], "M": 50, "R": 3,
+                               "backend": {"L": L}}))
+    assert main(["verify", "meancontrol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 3 * 2 and len(set(built)) == 3
 
 
 # -- ball bounds ------------------------------------------------------------------
@@ -203,8 +311,8 @@ def test_tilted_log_mass_smoothing_on_zero_hits():
 
 def test_ball_bound_scaling_of_emitted_bounds():
     params = GibbsParams(beta=0.5, M=400)
-    r2 = ball_bound_test(0.75, 9, 9, (2,), params, range(20))
-    r4 = ball_bound_test(0.75, 9, 9, (4,), params, range(20, 40))
+    r2, = ball_bound_test(0.75, 9, 9, [(2,)], params, range(20))
+    r4, = ball_bound_test(0.75, 9, 9, [(4,)], params, range(20, 40))
     assert r2.upper_bound == -0.5 * 3.0                 # n^{2a-1} = sqrt(9)
     assert r4.upper_bound / r2.upper_bound == 9.0       # (j - sgn j)^2 scaling
     assert r2.passed and r4.passed
@@ -212,8 +320,8 @@ def test_ball_bound_scaling_of_emitted_bounds():
 
 def test_ball_bound_two_dimensional_bound_value():
     kernel = KernelSpec(kind="product-exponential")
-    rep = ball_bound_test(0.75, 9, 9, (2, 2), GibbsParams(beta=0.3, M=150),
-                          range(12), kernel=kernel)
+    rep, = ball_bound_test(0.75, 9, 9, [(2, 2)], GibbsParams(beta=0.3, M=150),
+                           range(12), kernel=kernel)
     assert rep.upper_bound == pytest.approx(-3.0)       # -(sqrt(9)/2) * 2
     assert rep.passed
 
@@ -221,11 +329,15 @@ def test_ball_bound_two_dimensional_bound_value():
 def test_ball_bound_validation():
     params = GibbsParams(beta=0.5, M=10)
     with pytest.raises(ValueError):
-        ball_bound_test(0.8, 4, 4, (0,), params, range(2))
+        ball_bound_test(0.8, 4, 4, [(0,)], params, range(2))
     with pytest.raises(ValueError):
-        ball_bound_test(0.8, 4, 4, (3,), params, range(2))
+        ball_bound_test(0.8, 4, 4, [(2,), (3,)], params, range(2))
     with pytest.raises(ValueError):
-        ball_bound_test(0.8, 4, 5, (2,), params, range(2))
+        ball_bound_test(0.8, 4, 5, [(2,)], params, range(2))
+    with pytest.raises(ValueError, match="one dimension"):
+        ball_bound_test(0.8, 4, 4, [(2,), (2, 2)], params, range(2))
+    with pytest.raises(ValueError, match="one dimension"):
+        ball_bound_test(0.8, 4, 4, [], params, range(2))
 
 
 # -- concentration -----------------------------------------------------------------
@@ -252,8 +364,8 @@ def test_concentration_preconditions():
 def test_replica_fan_outs_name_the_failed_replica():
     # L = 1 is far too narrow a grid for n = 9 walks
     params = GibbsParams(beta=0.5, M=50)
-    for run in (lambda: mean_control_test(0.8, [9], params, range(2), L=1.0),
-                lambda: ball_bound_test(0.75, 9, 9, [2], params, range(2), L=1.0),
+    for run in (lambda: mean_control_test([0.8], [9], params, range(2), L=1.0),
+                lambda: ball_bound_test(0.75, 9, 9, [[2]], params, range(2), L=1.0),
                 lambda: concentration_scan(params, 0.75, [9], range(200), L=1.0)):
         with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\)"):
             run()
