@@ -166,8 +166,7 @@ def gibbs_expect(beta: float, h: np.ndarray, f) -> GibbsEstimate:
     ``f`` holds the functional's value on each path, shaped like the
     Hamiltonians ``h``.  The weighted sum is divided by the weights' own
     sum, taken in the same pairwise order, so the all-ones functional gives
-    exactly 1.  Indicator-valued functionals are clipped to [0, 1] against
-    floating-point drift.
+    exactly 1.
     """
     f_vals = np.asarray(f, dtype=float)
     if f_vals.shape != h.shape:
@@ -176,8 +175,6 @@ def gibbs_expect(beta: float, h: np.ndarray, f) -> GibbsEstimate:
     value = float(np.sum(w_bar * f_vals)) / float(np.sum(w_bar))
     resid = f_vals - value
     stderr = float(np.sqrt(np.sum((w_bar * resid) ** 2)))
-    if np.all((f_vals == 0.0) | (f_vals == 1.0)):
-        value = min(max(value, 0.0), 1.0)
     return GibbsEstimate(value=value, stderr=stderr, M=f_vals.size, ess=ess)
 
 

@@ -101,12 +101,9 @@ def _fold_coordinates(pa: np.ndarray, pb: np.ndarray, term, fold) -> np.ndarray:
 def gamma_matrix(kernel: KernelSpec, points_a, points_b=None) -> np.ndarray:
     """Covariance matrix [gamma(a_i - b_j)] for two point sets within one slice.
 
-    For the exponential-petermann and product-exponential kernels, builds one
-    (m_a, m_b) lag matrix per coordinate and folds them in coordinate order
-    with the kernel's reduction (max of the lags, product of one-dimensional
-    factors).  The elementwise operations and their order are those of the
-    broadcast form over an (m_a, m_b, d) lag array, so the output bytes are
-    the same.  The squared-exponential kernel uses the broadcast form.  The
+    Builds one (m_a, m_b) lag matrix per coordinate and folds them in
+    coordinate order with the kernel's reduction: the max of the lags, the
+    sum of the squared lags, or the product of one-dimensional factors.  The
     result is a fresh, writable, C-contiguous array that callers may modify
     in place.
     """
@@ -120,7 +117,7 @@ def gamma_matrix(kernel: KernelSpec, points_a, points_b=None) -> np.ndarray:
         max_lag = _fold_coordinates(pa, pb, lambda lag: lag, np.maximum)
         return _exp_decay(max_lag, kernel.lam, kernel.amplitude)
     if kernel.kind == "squared-exponential":
-        diff = pa[:, None, :] - pb[None, :, :]
-        return kernel.amplitude * np.exp(-0.5 * kernel.lam**2 * np.sum(diff**2, axis=2))
+        sq_lag = _fold_coordinates(pa, pb, lambda lag: np.square(lag, out=lag), np.add)
+        return _exp_decay(sq_lag, 0.5 * kernel.lam**2, kernel.amplitude)
     return _fold_coordinates(pa, pb, lambda lag: _exp_decay(lag, kernel.lam, kernel.amplitude),
                              np.multiply)

@@ -18,11 +18,10 @@ checks at 40^4 nodes peak below 5 MiB of traced memory.
 
 Every reduction has a fixed order and uses no BLAS ``dot``, whose
 summation order depends on the BLAS thread count: a :func:`_logsumexp` per
-batch and one over the batches' results, or a NumPy sum per batch and
-``math.fsum`` over the batches.  So ``GH_BATCH_ENTRIES`` fixes the
-quadrature's output bytes, as ``MC_CHUNK`` fixes the Monte Carlo oracle's.
-That oracle sums the values of ``MC_CHUNK`` draws at a time, but draws
-and evaluates them in sub-batches of quadrature-batch size.
+batch and one over the batches' results, a NumPy sum per batch and
+``math.fsum`` over the batches, or, for Monte Carlo, a NumPy sum per batch
+added to a running total.  So one batch rule, ``GH_BATCH_ENTRIES``, fixes
+the output bytes of both oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from .environment import _jittered_cholesky
 
 MAX_GRID_POINTS = 40_000_000
-MC_CHUNK = 200_000              # Monte Carlo draws (or increment-probe normals or product entries) per batch
 GH_BATCH_ENTRIES = 50_000       # node coordinates (k nodes x m) per quadrature batch
 
 
@@ -45,32 +43,19 @@ def _chol(cov: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a, axis: int | None = None):
-    """log(sum(exp(a))) over all of ``a`` or along ``axis``, bit for bit ``scipy.special.logsumexp``.
+    """log(sum(exp(a))) over all of ``a`` or along ``axis``, with the maximum taken out first.
 
-    For real, non-empty input without weights this repeats scipy 1.17's
-    operations in its order and under its error states: the maximum comes
-    out of the sum and its ties are counted as m, the rest is summed as
-    exp(a - max) and divided by m, and the result is log1p(s) + log(m) + max;
-    where that is not finite, log(sum(exp(a))) stands instead.  Returns a
-    NumPy scalar for ``axis=None`` and an array otherwise, like scipy, but
-    needs no scipy import and no second full exp/sum/log pass.
+    A non-finite maximum is taken out as 0, so +inf anywhere gives +inf, all
+    -inf gives -inf and NaN gives NaN, with no warning.  Returns a NumPy
+    scalar for ``axis=None`` and an array otherwise.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    axes = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = a.max(axis=axes, keepdims=True)
-        top = a == a_max
-        m = top.sum(axis=axes, keepdims=True, dtype=float)
+    a_max = a.max(axis=axis, keepdims=True)
+    a_max[~np.isfinite(a_max)] = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         shifted = a - a_max
-        shifted[top] = -np.inf
-        s = np.exp(shifted, out=shifted).sum(axis=axes, keepdims=True)
-        np.divide(s, m, out=s, where=s != 0)
-        out = np.log1p(s) + np.log(m) + a_max
-    finite = np.isfinite(out)
-    if not finite.all():
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axes, keepdims=True)))
-    out = out.squeeze(axis=axes)
+        out = np.log(np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)) + a_max
+    out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
 
 
@@ -118,8 +103,8 @@ def gauss_hermite_expect(cov: np.ndarray, log_integrand, n_nodes: int = 40) -> f
     most ``GH_BATCH_ENTRIES // m`` nodes, whose log terms one
     :func:`_logsumexp` reduces at once; the result is the exp of the
     :func:`_logsumexp` of the per-batch values.  So ``GH_BATCH_ENTRIES``
-    fixes the result's bytes, as ``MC_CHUNK`` fixes the Monte Carlo
-    oracle's; a one-shot reduction of the grid agrees to rounding.
+    fixes the result's bytes; a one-shot reduction of the grid agrees to
+    rounding.
     """
     chol = _chol(cov)
     _grid_size(len(chol), n_nodes)
@@ -134,9 +119,8 @@ def gauss_hermite_mean(cov: np.ndarray, integrand, n_nodes: int = 40) -> float:
     ``integrand`` is called once per batch of at most ``GH_BATCH_ENTRIES // m``
     nodes.  Each batch contributes ``np.sum(weights * values)``, and
     ``math.fsum`` adds the per-batch sums.  So ``GH_BATCH_ENTRIES`` fixes
-    the result's bytes, as ``MC_CHUNK`` fixes the Monte Carlo oracle's.
-    Partials of +inf and -inf give NaN, as one dot product over the grid
-    would.
+    the result's bytes.  Partials of +inf and -inf give NaN, as one dot
+    product over the grid would.
     """
     chol = _chol(cov)
     _grid_size(len(chol), n_nodes)
@@ -152,33 +136,26 @@ def monte_carlo_mean(cov: np.ndarray, integrand, n_draws: int,
                      rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo E[integrand(g)] for g ~ N(0, cov), with its standard error.
 
-    The values of each chunk of ``MC_CHUNK`` draws are summed at once, so
-    ``MC_CHUNK`` fixes the output bytes, as ``GH_BATCH_ENTRIES`` fixes the
-    quadrature's.  Within a chunk the normals are drawn, transformed and
-    integrated in sub-batches of at most ``GH_BATCH_ENTRIES // m`` rows (at
-    least 3) into one chunk-long buffer of values.  The stream, the rows
-    and the values are those of one draw per chunk, but no (chunk, m)
-    array is built.
+    The normals are drawn, transformed and integrated in batches of at most
+    ``GH_BATCH_ENTRIES // m`` rows (at least 3), and each batch's values go
+    straight into a running sum and sum of squares.  So ``GH_BATCH_ENTRIES``
+    fixes the output bytes, as it fixes the quadrature's, and no
+    (n_draws, m) array is built.
     """
     if n_draws < 2:
         raise ValueError(f"need n_draws >= 2 (for a standard error), got {n_draws}")
     chol = _chol(cov)
     m = len(chol)
     limit = max(3, GH_BATCH_ENTRIES // m)
-    vals = np.empty(min(MC_CHUNK, n_draws))
-    z = np.empty((limit, m))
+    z = np.empty((min(limit, n_draws), m))
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < n_draws:
-        take = min(MC_CHUNK, n_draws - done)
-        for rows in _batches(take, limit):
-            zb = z[:rows.stop - rows.start]
-            rng.standard_normal(out=zb)
-            vals[rows] = integrand(zb @ chol.T)
-        total += vals[:take].sum()
-        total_sq += float(np.sum(np.square(vals[:take])))
-        done += take
+    for rows in _batches(n_draws, limit):
+        zb = z[:rows.stop - rows.start]
+        rng.standard_normal(out=zb)
+        vals = integrand(zb @ chol.T)
+        total += vals.sum()
+        total_sq += float(np.sum(np.square(vals)))
     mean = total / n_draws
     var = max(total_sq / n_draws - mean**2, 0.0) * n_draws / (n_draws - 1)
     return float(mean), float(np.sqrt(var / n_draws))

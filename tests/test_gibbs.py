@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymerlab.cli import SPREADS_CSV_HEADER, _write_csv
 from polymerlab.environment import EnvironmentHandle, GridDomainError, suggested_halfwidth
@@ -192,6 +195,23 @@ def test_gibbs_expect_of_ones_is_exactly_one_at_every_seed():
         h = hamiltonian(EnvironmentHandle(seed, UNIT, backend="grid", h=0.1, L=10.0), paths)
         ones = gibbs_expect(0.7, h, np.ones(500))
         assert ones.value == 1.0 and ones.stderr == 0.0, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 5000), spread=st.floats(0.0, 700.0), levels=st.integers(0, 4),
+       ones=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_gibbs_expect_of_an_indicator_lies_in_the_unit_interval(m, spread, levels, ones, seed):
+    # each numerator term is 0 or the denominator's term and both sums run on
+    # one pairwise tree; rounding is monotone, so the ratio needs no clip
+    rng = np.random.default_rng(seed)
+    log_w = rng.uniform(-spread, spread, m)
+    if levels:                      # ties: every weight on one of a few levels
+        log_w = rng.choice(log_w[:levels], m)
+    f_vals = (rng.random(m) < ones).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeightDegeneracyWarning)
+        est = gibbs_expect(1.0, log_w, f_vals)
+    assert 0.0 <= est.value <= 1.0
 
 
 def test_gibbs_expect_indicator_quadrature_oracle():

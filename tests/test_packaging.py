@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ def test_requires_the_python_that_ci_tests():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy stays a declared dependency, but no command's import path needs it
+    # scipy is a test dependency only: no module of the package imports it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = ("import sys, polymerlab.cli; "
@@ -32,3 +34,28 @@ def test_importing_the_cli_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def _runtime_dependencies():
+    """The distribution names of pyproject's runtime dependencies, without version specifiers."""
+    deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps}
+
+
+def test_every_import_of_the_package_is_stdlib_itself_or_a_declared_dependency():
+    # function-level imports count too: a module imported lazily must still be declared
+    allowed = set(sys.stdlib_module_names) | {"polymerlab"} | _runtime_dependencies()
+    seen = set()
+    for path in sorted((ROOT / "src" / "polymerlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["polymerlab" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                seen.add(top)
+                assert top in allowed, f"{path.name} imports {name}, which pyproject does not declare"
+    assert {"numpy", "polymerlab"} <= seen

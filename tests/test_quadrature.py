@@ -135,11 +135,12 @@ _BATCH_CASES = [(1, 40, None), (2, 40, None), (3, 40, None), (4, 22, None),
 
 
 def _two_level_expect(cov, log_integrand, n_nodes):
-    """The documented rule on the one-shot grid: scipy's logsumexp per batch, then over the batches."""
+    """The documented rule on the one-shot grid: a _logsumexp per batch, then over the batches."""
     chol = _chol(cov)
     z, log_w = _one_shot_grid(len(chol), n_nodes)
     rows = _batches(len(log_w), quadrature.GH_BATCH_ENTRIES // len(chol))
-    return float(np.exp(logsumexp([logsumexp(log_w[r] + log_integrand(z[r] @ chol.T)) for r in rows])))
+    return float(np.exp(_logsumexp([_logsumexp(log_w[r] + log_integrand(z[r] @ chol.T))
+                                    for r in rows])))
 
 
 def _two_level_mean(cov, integrand, n_nodes):
@@ -314,25 +315,27 @@ def test_four_atom_monte_carlo_peaks_below_8_mib(oracle):
     assert peak < 8, peak
 
 
-# -- Monte Carlo sub-batches against one draw per chunk -----------------------
+# -- Monte Carlo batches against one fresh draw per batch --------------------
 
 
-def _one_draw_per_chunk(cov, integrand, n_draws, rng):
-    """Each chunk's normals drawn, transformed and integrated at once; sum of squares BLAS-free."""
+def _one_draw_per_batch(cov, integrand, n_draws, rng):
+    """Each batch's normals drawn into a fresh array, transformed and integrated at once."""
     chol = _chol(cov)
-    m = len(chol)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < n_draws:
-        take = min(quadrature.MC_CHUNK, n_draws - done)
-        vals = integrand(rng.standard_normal((take, m)) @ chol.T)
+    for rows in _batches(n_draws, max(3, quadrature.GH_BATCH_ENTRIES // len(chol))):
+        vals = integrand(rng.standard_normal((rows.stop - rows.start, len(chol))) @ chol.T)
         total += vals.sum()
         total_sq += float(np.sum(np.square(vals)))
-        done += take
     mean = total / n_draws
     var = max(total_sq / n_draws - mean**2, 0.0) * n_draws / (n_draws - 1)
     return float(mean), float(np.sqrt(var / n_draws))
+
+
+def _one_shot_mc(cov, integrand, n_draws, rng):
+    """Every draw at once: the same rows of the stream, summed in one other order."""
+    vals = integrand(rng.standard_normal((n_draws, len(cov))) @ _chol(cov).T)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_draws))
 
 
 def _mc_integrands(m):
@@ -348,13 +351,19 @@ def _mc_integrands(m):
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("n_draws", [2, 3, 12_499, 12_500, 12_501, 200_000, 200_001, 412_503])
-def test_monte_carlo_sub_batches_match_one_draw_per_chunk(m, n_draws):
+def test_monte_carlo_batches_match_one_draw_per_batch(m, n_draws):
     cov = gamma_matrix(KernelSpec(kind="exponential-petermann", lam=1.3),
                        np.linspace(-1.0, 1.5, m)[:, None])
+    limit = max(3, quadrature.GH_BATCH_ENTRIES // m)
+    sizes = [rows.stop - rows.start for rows in _batches(n_draws, limit)]
+    assert sum(sizes) == n_draws and min(sizes) >= 2 and max(sizes) <= limit
     for i, fn in enumerate(_mc_integrands(m)):
         got = monte_carlo_mean(cov, fn, n_draws, tagged_stream(7, m, i))
-        want = _one_draw_per_chunk(cov, fn, n_draws, tagged_stream(7, m, i))
+        want = _one_draw_per_batch(cov, fn, n_draws, tagged_stream(7, m, i))
         assert np.array(got).tobytes() == np.array(want).tobytes(), (i, got, want)
+        mean, se = _one_shot_mc(cov, fn, n_draws, tagged_stream(7, m, i))
+        assert math.isclose(got[0], mean, rel_tol=1e-12, abs_tol=1e-15)
+        assert math.isclose(got[1], se, rel_tol=1e-6)
 
 
 @pytest.mark.parametrize("n_draws", [0, 1, -5])
@@ -365,16 +374,36 @@ def test_monte_carlo_needs_two_draws(n_draws):
 
 # -- the lean log-sum-exp against scipy.special.logsumexp ----------------------
 
+_EPS = np.finfo(float).eps
+
 
 def _assert_lean_logsumexp_is_scipy(a, axis=None):
-    """Same type, shape and bytes as scipy's, with no warning raised by the lean one."""
+    """Same type and shape as scipy's, values within 4 eps max(1, |result|), special values
+    exactly, and no warning raised by the lean one."""
     want = logsumexp(a, axis=axis)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _logsumexp(a, axis=axis)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, got, want)
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    assert got[~finite].tobytes() == want[~finite].tobytes(), (a, got, want)
+    assert np.all(np.abs(got[finite] - want[finite])
+                  <= 4 * _EPS * np.maximum(1.0, np.abs(want[finite]))), (a, got, want)
+
+
+@pytest.mark.parametrize("a, want", [([1.0, np.inf, 2.0], np.inf), ([-np.inf] * 3, -np.inf),
+                                     ([0.5, np.nan, 1.0], np.nan), ([np.inf, -np.inf], np.inf),
+                                     ([800.0, np.inf], np.inf), ([-np.inf, np.inf, -np.inf], np.inf)])
+def test_lean_logsumexp_special_values(a, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a)
+        rows = _logsumexp(np.array([a, a]), axis=1)
+    np.testing.assert_equal(got, want)
+    np.testing.assert_equal(rows, [want, want])
+    _assert_lean_logsumexp_is_scipy(a)
 
 
 LSE_SIZES = [*range(1, 65), 127, 128, 129, 255, 256, 257, 1000, 1023, 1024, 1025,

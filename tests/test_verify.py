@@ -527,6 +527,17 @@ def test_increments_sum_of_squares_is_the_variance_over_fresh_fields():
     assert abs(sq.mean() - var) < 4.0 * se
 
 
+@pytest.mark.parametrize("n", [9, 16])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_increment_orthogonality_holds_at_n_9_and_16(n, seed):
+    # sum_i E[Delta_i^2] = Var log W; z reads 1.20 and -0.65 at n = 9, 2.21 and 0.27 at n = 16
+    report = martingale_increment_probe(n, n, GibbsParams(beta=0.5, M=200), seed=seed,
+                                        n_outer=300, n_inner=300)[-1]
+    assert report.name == f"increment_orthogonality(n={n})"
+    assert report.lower_bound == report.upper_bound == 0.0 and report.stderr > 0
+    assert abs(report.estimate) < 4.0 * report.stderr and report.passed
+
+
 def test_random_expo_cases_shape_and_determinism():
     cases = random_expo_cases(42, count=10)
     assert len(cases) == 10
