@@ -11,10 +11,12 @@ Subcommands
     shared summary JSON.  girsanov, meancontrol, concentration and
     increment run in d = 1 only, and they and the d = 1 ball run on the
     grid whatever ``backend.kind`` says; at d > 1, ``all`` runs lemma21,
-    lemma22 and ball.  The tilts of girsanov (two lambdas), meancontrol
-    (every alpha) and the d = 1 ball (both j's) share one field and one
-    path set per (replica, n); the d > 1 ball, on the exact backend, runs
-    its one j per call.
+    lemma22 and ball.  Each suite makes one fan-out over the environment
+    replicas, whose replica covers every n of the suite.  The tilts of
+    girsanov (two lambdas), meancontrol (every alpha) and the d = 1 ball
+    (both j's) share one field and one path set per (replica, n); the d > 1
+    ball, on the exact backend, caps R at 50 and M at 300, notes a binding
+    cap in its rows, and draws one j per field.
 ``xi-scan`` / ``fluct-fit``
     Containment-mass tables and the spread-slope fit.
 
@@ -48,6 +50,7 @@ import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager, suppress
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,17 +163,16 @@ def _suite_meancontrol(cfg: RunConfig) -> list[BoundCheckReport]:
 def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
     # The exact backend (d > 1) pays, per slice, for building the covariance
     # of 2M points and for its Cholesky factor, so replica and path counts
-    # are capped there.
+    # are capped there; rows run under a binding cap note the counts used.
     if cfg.d == 1:
         j_list, R_eff, M_eff = [(2,), (4,)], cfg.R, cfg.M
     else:
         j_list, R_eff, M_eff = [(2,) * cfg.d], min(cfg.R, 50), min(cfg.M, 300)
-    params = GibbsParams(beta=cfg.beta, M=M_eff)
-    reports = []
-    for n in BALL_N_VALUES:
-        reports += ball_bound_test(BALL_ALPHA, n, n, j_list, params, cfg.env_seeds(R_eff),
-                                   kernel=cfg.kernel, h=cfg.h, L=cfg.L, threads=cfg.threads)
-    return reports
+    reports = ball_bound_test(BALL_ALPHA, BALL_N_VALUES, j_list, GibbsParams(beta=cfg.beta, M=M_eff),
+                              cfg.env_seeds(R_eff), kernel=cfg.kernel, h=cfg.h, L=cfg.L,
+                              threads=cfg.threads)
+    capped = f"R={R_eff},M={M_eff}" if (R_eff, M_eff) != (cfg.R, cfg.M) else ""
+    return [replace(r, notes=",".join(filter(None, (r.notes, capped)))) for r in reports]
 
 
 def _suite_concentration(cfg: RunConfig) -> list[BoundCheckReport]:

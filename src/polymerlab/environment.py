@@ -36,7 +36,8 @@ Two backends:
     n_circ/2 are real, each other mode is (a + ib)/sqrt(2).  One inverse
     real FFT then gives a field with exactly the embedded covariance
     (Dietrich-Newsam 1997; Wood-Chan 1994), so no draw is thrown away.  The
-    spectrum is computed once per (kernel, h, n_nodes) and shared read-only.
+    spectrum is computed once per (kernel, h, n_nodes), also when threads
+    start a law together, and shared read-only.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, domain-tag, index), so slice k's stream never depends on query
@@ -72,6 +73,7 @@ _CLIP_TOLERANCE = 1e-6
 # block's temporaries stay small: 128 rows raised the peak RSS of a d = 2
 # verify ball (600 points a slice) by 0.6 MiB, 64 rows left it unchanged.
 _COV_BLOCK = 64
+_SPECTRUM_LOCK = threading.Lock()     # so threads starting one law together compute it once
 
 
 def grid_spacing(kernel: KernelSpec, h: float | None = None) -> float:
@@ -79,9 +81,9 @@ def grid_spacing(kernel: KernelSpec, h: float | None = None) -> float:
     return float(h) if h is not None else 0.1 / kernel.lam
 
 
-def suggested_halfwidth(n: int, drift: float = 0.0, margin: float = 1.0) -> float:
-    """Grid half-width covering 8-sigma path excursions plus a drift."""
-    return float(math.ceil(8.0 * math.sqrt(n) + abs(drift) + margin))
+def suggested_halfwidth(n: int, drift: float = 0.0) -> float:
+    """Grid half-width covering 8-sigma path excursions plus a drift, and one more unit."""
+    return float(math.ceil(8.0 * math.sqrt(n) + abs(drift) + 1.0))
 
 
 class GridDomainError(ValueError):
@@ -269,7 +271,8 @@ class EnvironmentHandle:
             raise ValueError(f"synthesize takes real standard normals of shape "
                              f"(..., {self.n_circ}), got {z.dtype} of shape {z.shape}")
         m = self.n_circ
-        scale, _ = _grid_spectrum(self.kernel, self.h, self.n_nodes)
+        with _SPECTRUM_LOCK:
+            scale, _ = _grid_spectrum(self.kernel, self.h, self.n_nodes)
         half = np.zeros((*z.shape[:-1], m // 2 + 1), dtype=complex)
         parts = half.view(float)    # Re 0, Im 0, Re 1, ...: Im 0 and Im n_circ/2 stay 0
         np.multiply(z[..., :1], scale[:1], out=parts[..., :1])

@@ -16,10 +16,8 @@ with a cross-replica standard error.
 
 The estimators take H, never an environment; :func:`hamiltonian` is the one
 map from a field and paths to H.  :func:`replica_over_n` builds every
-quenched estimator's replica (paths, field, H) but that of
-``verify._tilted_log_mass``, which must query a free ensemble and every
-tilted one together on one field, where :func:`replica_over_n` gives H of
-one ensemble.  Every weighted sum here is ``np.sum`` of an elementwise
+quenched estimator's replica (paths, field, H), tilted copies of the paths
+included.  Every weighted sum here is ``np.sum`` of an elementwise
 product, never a BLAS dot, whose split of long sums depends on the BLAS
 thread count.
 """
@@ -36,7 +34,7 @@ from .environment import EnvironmentHandle, suggested_halfwidth
 from .kernels import KernelSpec
 from .parallel import parallel_map
 from .quadrature import _logsumexp
-from .walk import PathEnsemble, sample_paths
+from .walk import PathEnsemble, sample_paths, tilt_path
 
 ESS_WARN_FRACTION = 0.01
 
@@ -115,17 +113,25 @@ def replica_hamiltonian(seed: int, paths: PathEnsemble, beta: float, kernel: Ker
 
 def replica_over_n(seed: int, n_values, params: GibbsParams, reduce, kernel: KernelSpec,
                    d: int = 1, backend: str = "grid", h: float | None = None,
-                   L: float | None = None) -> np.ndarray:
+                   L: float | None = None, tilts=lambda n: ()) -> np.ndarray:
     """``reduce(paths, H, n)``, a float or a vector, per n of one replica, joined in n order.
 
-    ``params.M`` paths come from ``seed``; H from :func:`replica_hamiltonian` on a
-    grid of half-width ``L``, or ``suggested_halfwidth(n)`` when ``L`` is None.
+    ``params.M`` free paths come from ``seed``.  With T ``TiltSpec``s in
+    ``tilts(n)``, ``paths`` holds 1 + T blocks of M rows, the free paths and
+    one ``tilt_path`` copy per tilt, all coupled on one field by one
+    :func:`replica_hamiltonian` query.  The grid's half-width is ``L``, or
+    ``suggested_halfwidth(n, drift)`` for the tilts' largest |lambda_tilde|.
     """
     parts = []
     for n in n_values:
         paths = sample_paths(seed, params.M, n, d)
+        specs = tilts(n)
+        if specs:
+            paths = PathEnsemble(np.concatenate(
+                [paths.positions, *(tilt_path(paths, tilt).positions for tilt in specs)]))
+        drift = max((float(np.abs(tilt.lambda_tilde).max()) for tilt in specs), default=0.0)
         hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend, h=h,
-                                 L=L if L is not None else suggested_halfwidth(n))
+                                 L=L if L is not None else suggested_halfwidth(n, drift=drift))
         parts.append(reduce(paths, hv, n))
     return np.hstack(parts)
 

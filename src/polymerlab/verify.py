@@ -7,12 +7,14 @@ never be "too satisfied").  Oracles are independent of the estimators
 they certify: exponential/log-moment expectations use tensorized
 Gauss-Hermite quadrature or plain Monte Carlo over the exact joint
 Gaussian, while the polymer functionals use tilted-proposal importance
-sampling with exact reweighting.  The tilts of one suite and one n (the
-alphas of mean control, the j's of the d = 1 ball, the lambdas of the
-Girsanov identity) share one field and one path set per (replica, n), on a
-grid wide enough for the largest drift; the exact backend (d > 1 ball)
-takes one j per field, since its joint Cholesky is cubic in the number of
-points queried together.
+sampling with exact reweighting.  Each polymer suite makes one
+``quenched_average``, whose replica, built by ``gibbs.replica_over_n``,
+covers every n of the suite.  The tilts of one suite and one n (the alphas
+of mean control, the j's of the d = 1 ball, the lambdas of the Girsanov
+identity) share one field and one path set per (replica, n), on a grid
+wide enough for the largest drift; the exact backend (d > 1 ball) takes
+one j per field, since its joint Cholesky is cubic in the number of points
+queried together.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import numpy as np
 
 from .environment import (_DOMAIN_ORACLE, _DOMAIN_PROBE_INNER, _DOMAIN_PROBE_OUTER,
                           EnvironmentHandle, suggested_halfwidth, tagged_stream)
-from .gibbs import GibbsParams, log_partition, quenched_average, replica_hamiltonian, replica_over_n
+from .gibbs import GibbsParams, log_partition, quenched_average, replica_over_n
 from .kernels import KernelSpec, gamma_matrix
 from .parallel import parallel_map  # noqa: F401  unused; perfbench asserts its tracer rebinds this name
 from .quadrature import (_batches, _logsumexp, gauss_hermite_expect, gauss_hermite_mean,
                          monte_carlo_mean)
-from .walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_path
+from .walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight
 
 MC_CHUNK = 200_000                  # increment-probe normals (or product entries) per batch
 MEAN_CONTROL_MIN_ALPHA = 0.5        # suite hypotheses, also checked before any suite runs:
@@ -227,46 +229,43 @@ def check_log_moment_bounds(mu_atoms, mu_weights, beta: float, kernel: KernelSpe
 # -- polymer-measure checks ---------------------------------------------------
 
 
-def _tilted_log_mass(seed: int, kernel: KernelSpec, n: int, M: int, beta: float,
-                     tilts, events, d: int = 1, backend: str = "grid",
-                     h: float | None = None, L: float | None = None) -> list[tuple[float, bool]]:
-    """Per-environment log <1_event> of each (tilt, event) pair via its tilted proposal.
+def _tilted_report(n_values, cases, params: GibbsParams, env_seeds, threads: int,
+                   backend: str = "grid", **replica_args) -> list[BoundCheckReport]:
+    """Quenched mean of log <1_event> of each (name, bound, tilt, event) of ``cases(n)``, n-major.
 
-    Returns one (value, True if smoothed) pair per tilt.  One set of M
-    paths serves every tilt, and one query per slice covers the plain
-    ensemble and every tilted one, so all of them are exactly coupled on a
-    single realization; log Z of the plain ensemble is taken once.  A path's
-    H does not depend on the other paths queried with it, so each pair
-    equals a single-tilt call on the same field.
+    A case's tilted copy of the M free paths is reweighted by
+    ``tilt_log_weight`` on its event, against log Z of the free paths, taken
+    once per field.  A case with no hit gets add-one smoothing, one
+    pseudo-hit out of M+1, a conservative upper bound, and its row notes the
+    replicas smoothed.  One :func:`quenched_average` builds each replica by
+    :func:`replica_over_n`: on the grid the cases of one n share one field
+    and one path set, and on the exact backend each (n, case) has its own.
     """
-    paths = sample_paths(seed, M, n, d)
-    tilted = [tilt_path(paths, tilt) for tilt in tilts]
-    every = PathEnsemble(np.concatenate([paths.positions, *(t.positions for t in tilted)]))
-    h0, *h_tilted = np.split(replica_hamiltonian(seed, every, beta, kernel, d=d, backend=backend,
-                                                 h=h, L=L), len(tilted) + 1)
-    log_z = _logsumexp(beta * h0)
-    out = []
-    for tilt, event_fn, ensemble, h1 in zip(tilts, events, tilted, h_tilted):
-        hits = np.asarray(event_fn(ensemble), dtype=bool)
-        if not hits.any():
-            # add-one smoothing: one pseudo-hit out of M+1, a conservative
-            # upper bound that keeps one-sided checks valid
-            out.append((-math.log(M + 1.0), True))
-            continue
-        log_w = tilt_log_weight(ensemble, tilt)
-        out.append((float(_logsumexp(beta * h1[hits] + log_w[hits]) - log_z), False))
-    return out
+    M, beta = params.M, params.beta
 
+    def reduce_of(cases_of):
+        def reduce(paths, hv, n) -> list[float]:        # (log mass, 1.0 if smoothed) per case
+            log_z = _logsumexp(beta * hv[:M])
+            out = []
+            for t, (_, _, tilt, event) in enumerate(cases_of(n), start=1):
+                tilted, h1 = PathEnsemble(paths.positions[t * M:(t + 1) * M]), hv[t * M:(t + 1) * M]
+                hits = np.asarray(event(tilted), dtype=bool)
+                if not hits.any():
+                    out += [-math.log(M + 1.0), 1.0]
+                    continue
+                log_w = tilt_log_weight(tilted, tilt)
+                out += [float(_logsumexp(beta * h1[hits] + log_w[hits]) - log_z), 0.0]
+            return out
+        return reduce
 
-def _tilted_report(names, bounds, env_seeds, threads: int, **mass_args) -> list[BoundCheckReport]:
-    """Quenched mean of each tilt's :func:`_tilted_log_mass` against its upper bound.
-
-    One :func:`quenched_average` builds each replica once for every tilt.
-    """
-    qa = quenched_average(env_seeds, lambda s: _tilted_log_mass(s, **mass_args), threads=threads)
+    fields = ([([n], lambda _, case=case: [case]) for n in n_values for case in cases(n)]
+              if backend == "exact" else [(n_values, cases)])   # (n values, their cases) per field
+    qa = quenched_average(env_seeds, lambda seed: np.hstack([replica_over_n(
+        seed, ns, params, reduce_of(of), backend=backend, **replica_args,
+        tilts=lambda n, of=of: [case[2] for case in of(n)]) for ns, of in fields]), threads=threads)
     reports = []
-    for t, (name, bound) in enumerate(zip(names, bounds)):
-        smoothed = int(qa.values[:, t, 1].sum())
+    for t, (name, bound, _, _) in enumerate(case for n in n_values for case in cases(n)):
+        smoothed = int(qa.values[:, 2 * t + 1].sum())
         reports.append(make_report(name, qa.mean[2 * t], qa.stderr[2 * t], upper=bound,
                                    notes=f"smoothed_replicas={smoothed}" if smoothed else ""))
     return reports
@@ -313,61 +312,50 @@ def mean_control_test(alphas, n_grid, params: GibbsParams, env_seeds,
     alphas = [float(alpha) for alpha in alphas]
     if min(alphas) <= MEAN_CONTROL_MIN_ALPHA:
         raise ValueError(f"alpha must exceed 1/2, got {min(alphas)}")
-    by_n = []
-    for n in n_grid:
-        drifts = [float(n) ** alpha for alpha in alphas]
-        by_n.append(_tilted_report(
-            [f"mean_control(n={n},alpha={alpha:g},beta={params.beta:g})" for alpha in alphas],
-            [-0.5 * float(n) ** (2 * alpha - 1) for alpha in alphas], env_seeds, threads,
-            kernel=kernel, n=n, M=params.M, beta=params.beta,
-            tilts=[TiltSpec(lambda_tilde=np.array([a]), k=n) for a in drifts],
-            events=[lambda t, a=a: t.endpoints[:, 0] >= a for a in drifts],
-            h=h, L=L if L is not None else suggested_halfwidth(n, drift=max(drifts))))
-    return [reports[a] for a in range(len(alphas)) for reports in by_n]
+    n_grid = list(n_grid)
+
+    def cases(n):
+        return [(f"mean_control(n={n},alpha={alpha:g},beta={params.beta:g})",
+                 -0.5 * float(n) ** (2 * alpha - 1),
+                 TiltSpec(lambda_tilde=np.array([float(n) ** alpha]), k=n),
+                 lambda t, a=float(n) ** alpha: t.endpoints[:, 0] >= a)
+                for alpha in alphas]
+
+    reports = _tilted_report(n_grid, cases, params, env_seeds, threads, kernel=kernel, h=h, L=L)
+    return [reports[i * len(alphas) + a] for a in range(len(alphas)) for i in range(len(n_grid))]
 
 
-def ball_bound_test(alpha: float, n: int, k: int, js, params: GibbsParams, env_seeds,
+def ball_bound_test(alpha: float, n_values, js, params: GibbsParams, env_seeds,
                     kernel: KernelSpec = KernelSpec(),
                     h: float | None = None, L: float | None = None,
                     threads: int = 1) -> list[BoundCheckReport]:
-    """Quenched mean of log <1_{S_k in B(j n^alpha, n^alpha)}> against its bound, per j of ``js``.
+    """Quenched mean of log <1_{S_n in B(j n^alpha, n^alpha)}> against its bound, n-major.
 
-    Each j is a nonzero vector of even integers, all of one dimension d;
-    the proved bound scales with sum_i (j_i - sgn(j_i))^2.  d=1 runs on the
-    grid backend, with every j on one field and one path set per replica
-    and a default L that covers the largest drift.  d > 1 runs on the exact
-    backend, one j per field: its joint Cholesky is cubic in the number of
-    points queried together.
+    Each j of ``js`` is a nonzero vector of even integers, all of one
+    dimension d; the bound scales with sum_i (j_i - sgn(j_i))^2.  d=1 runs on
+    the grid, every j of one n on one field and one path set per replica;
+    d > 1 on the exact backend, one j per field, since its joint Cholesky is
+    cubic in the number of points queried together.
     """
     js = [np.atleast_1d(np.asarray(j, dtype=int)) for j in js]
     if not js or len({j.size for j in js}) != 1:
         raise ValueError("js must be a nonempty list of vectors of one dimension")
     if any(np.all(j == 0) or np.any(j % 2 != 0) for j in js):
         raise ValueError("j must be a nonzero vector of even integers")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
     d = js[0].size
-    radius = float(n) ** alpha
-    tilts = [TiltSpec(lambda_tilde=(j - np.sign(j)) * radius, k=k) for j in js]
-    if d == 1 and L is None:
-        L = suggested_halfwidth(n, drift=max(float(np.abs(t.lambda_tilde).max()) for t in tilts),
-                                margin=radius + 1)
 
-    def event(center: np.ndarray):
-        return lambda t: np.abs(t.positions[:, k - 1, :] - center).max(axis=1) <= radius
+    def cases(n):
+        radius = float(n) ** alpha
+        return [(f"ball_bound(n={n},k={n},j={tuple(int(x) for x in j)},alpha={alpha:g},"
+                 f"beta={params.beta:g})",
+                 -0.5 * float(n) ** (2 * alpha - 1) * float(((j - np.sign(j)) ** 2).sum()),
+                 TiltSpec(lambda_tilde=(j - np.sign(j)) * radius, k=n),
+                 lambda t, c=j * radius, n=n, r=radius:
+                     np.abs(t.positions[:, n - 1, :] - c).max(axis=1) <= r)
+                for j in js]
 
-    names = [f"ball_bound(n={n},k={k},j={tuple(int(x) for x in j)},alpha={alpha:g},"
-             f"beta={params.beta:g})" for j in js]
-    bounds = [-0.5 * float(n) ** (2 * alpha - 1) * float(((j - np.sign(j)) ** 2).sum()) for j in js]
-    events = [event(j * radius) for j in js]
-    groups = [slice(None)] if d == 1 else [slice(i, i + 1) for i in range(len(js))]
-    reports = []
-    for group in groups:
-        reports += _tilted_report(names[group], bounds[group], env_seeds, threads,
-                                  kernel=kernel, n=n, M=params.M, beta=params.beta,
-                                  tilts=tilts[group], events=events[group],
-                                  d=d, backend="grid" if d == 1 else "exact", h=h, L=L)
-    return reports
+    return _tilted_report(list(n_values), cases, params, env_seeds, threads,
+                          backend="grid" if d == 1 else "exact", kernel=kernel, d=d, h=h, L=L)
 
 
 # -- concentration ------------------------------------------------------------

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polymerlab import cli
+from polymerlab import cli, verify
 from polymerlab.cli import main
 from polymerlab.config import ConfigError, DEFAULT_CONFIG, load_config
-from polymerlab.gibbs import GibbsParams
+from polymerlab.gibbs import GibbsParams, quenched_average
 from polymerlab.kernels import gamma_eval
 from polymerlab.verify import make_report, martingale_increment_probe
 
@@ -198,6 +198,40 @@ def test_exact_backend_ball_d2_is_byte_identical_across_threads(tmp_path):
     assert main(["verify", "ball", "--config", cfg, "--out", str(out2), "--threads", "2"]) == code
     for name in ("verify_ball.csv", "verify_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_each_verify_suite_fans_out_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(env_seeds, estimator, threads=1):
+        calls.append(len(list(env_seeds)))
+        return quenched_average(env_seeds, estimator, threads=threads)
+
+    monkeypatch.setattr(verify, "quenched_average", counting)
+    cfg = write_config(tmp_path, M=20, R=200, n_grid=[4, 9])
+    assert main(["verify", "all", "--config", cfg, "--out", str(tmp_path / "d1")]) in (0, 1)
+    assert calls == [200] * 4       # girsanov, meancontrol, ball, concentration
+    calls.clear()
+    d2 = write_config(tmp_path, d=2, kernel={"kind": "product-exponential"},
+                      backend={"kind": "exact"}, M=20, R=3)
+    assert main(["verify", "ball", "--config", d2, "--out", str(tmp_path / "d2")]) in (0, 1)
+    assert calls == [3]
+
+
+def test_d2_ball_notes_a_binding_cap(tmp_path):
+    exact = {"d": 2, "kernel": {"kind": "product-exponential"}, "backend": {"kind": "exact"}}
+    capped, free = tmp_path / "capped", tmp_path / "free"
+    assert main(["verify", "ball", "--config", write_config(tmp_path, **exact, M=20, R=51),
+                 "--out", str(capped)]) in (0, 1)
+    summary = json.loads((capped / "verify_summary.json").read_text())["ball"]
+    assert summary["checks"] == 2
+    assert summary["notes"] == [f"ball_bound(n={n},k={n},j=(2, 2),alpha=0.75,beta=0.5): R=50,M=20"
+                                for n in cli.BALL_N_VALUES]
+    assert json.loads((capped / "manifest.json").read_text())["config"]["R"] == 51
+    assert main(["verify", "ball", "--config", write_config(tmp_path, **exact, M=20, R=50),
+                 "--out", str(free)]) in (0, 1)
+    assert json.loads((free / "verify_summary.json").read_text())["ball"]["notes"] == []
+    assert (free / "verify_ball.csv").read_bytes() == (capped / "verify_ball.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", [["env-check"], ["verify", "girsanov"], ["xi-scan"], ["fluct-fit"]])

@@ -2,6 +2,8 @@ import ast
 import importlib
 import pkgutil
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -363,6 +365,26 @@ def test_concurrent_first_use_of_a_law_gives_every_handle_the_same_field():
     finally:
         sys.setswitchinterval(switch)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_threads_starting_a_new_law_together_compute_its_spectrum_once(monkeypatch):
+    def slow(kernel, x):
+        time.sleep(0.05)       # holds each computation open while the other threads arrive
+        return gamma_eval(kernel, x)
+
+    monkeypatch.setattr(env_mod, "gamma_eval", slow)
+    handles = [EnvironmentHandle(s, UNIT, backend="grid", h=0.1, L=3.5) for s in range(4)]
+    barrier = threading.Barrier(len(handles))
+
+    def first_slice(env):
+        barrier.wait(timeout=60)
+        return env.build_grid_slice(1)
+
+    _grid_spectrum.cache_clear()
+    with ThreadPoolExecutor(max_workers=len(handles)) as pool:
+        for future in [pool.submit(first_slice, env) for env in handles]:
+            future.result(timeout=60)
+    assert _grid_spectrum.cache_info().misses == 1
 
 
 def test_selftest_slice_independence_and_stationarity():

@@ -1,4 +1,4 @@
-"""The estimators built on ``gibbs.replica_over_n`` against per-n reference loops.
+"""``gibbs.replica_over_n`` and the estimators built on it against per-n reference loops.
 
 Each reference below keeps the loop its estimator used before the shared
 per-replica routine existed: one replica (paths, field, H) built by hand per
@@ -19,7 +19,8 @@ from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
 from polymerlab.verify import (ConcentrationRow, concentration_bound, concentration_scan,
                                girsanov_identity_test, make_report)
-from polymerlab.walk import running_max_norm, sample_paths
+from polymerlab import gibbs
+from polymerlab.walk import PathEnsemble, TiltSpec, running_max_norm, sample_paths, tilt_path
 
 PRODUCT = KernelSpec(kind="product-exponential", lam=1.2)
 
@@ -195,3 +196,45 @@ def test_girsanov_lambdas_share_one_replica(L):
     got = girsanov_identity_test(n, [h, 2 * h], params, seeds, h=h, L=L, threads=2)
     assert got == [reference_girsanov_identity_test(n, lam, params, seeds, h=h, L=L_shared)
                    for lam in (h, 2 * h)]
+
+
+def reference_tilted_replica(seed, n, params, tilts, kernel, d, backend, L):
+    """The free paths and one tilted copy per tilt, queried as one ensemble."""
+    paths = sample_paths(seed, params.M, n, d)
+    every = PathEnsemble(np.concatenate([paths.positions, *(tilt_path(paths, t).positions
+                                                            for t in tilts)]))
+    return every, replica_hamiltonian(seed, every, params.beta, kernel, d=d, backend=backend, L=L)
+
+
+@pytest.mark.parametrize("d, backend, kernel", [(1, "grid", KernelSpec(lam=0.9)), (2, "exact", PRODUCT)])
+def test_tilted_replica_equals_the_per_tilt_reference(d, backend, kernel):
+    params = GibbsParams(beta=0.6, M=20)
+
+    def tilts(n):
+        return [TiltSpec(np.full(d, 0.5 * n), k=n), TiltSpec(np.full(d, -float(n) ** 0.75), k=n - 1)]
+
+    seen = {}
+
+    def reduce(paths, hv, n):
+        seen[n] = (paths.positions.tobytes(), hv.tobytes())
+        return float(n)
+
+    assert replica_over_n(5, [2, 4], params, reduce, kernel, d=d, backend=backend,
+                          tilts=tilts).tolist() == [2.0, 4.0]
+    for n in (2, 4):
+        # the default grid covers the largest drift
+        L = suggested_halfwidth(n, drift=max(float(np.abs(t.lambda_tilde).max()) for t in tilts(n)))
+        every, hv = reference_tilted_replica(5, n, params, tilts(n), kernel, d, backend, L)
+        assert every.M == hv.size == 3 * params.M
+        assert seen[n] == (every.positions.tobytes(), hv.tobytes())
+
+
+def test_tilted_replica_builds_no_field_at_beta_zero(monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built at beta = 0")
+
+    monkeypatch.setattr(gibbs, "EnvironmentHandle", no_field)
+    params = GibbsParams(beta=0.0, M=15)
+    out = replica_over_n(2, [3, 5], params, lambda paths, hv, n: [paths.M, float(np.abs(hv).sum())],
+                         KernelSpec(), tilts=lambda n: [TiltSpec(np.array([1.0]), k=n)] * 2)
+    assert out.tolist() == [45.0, 0.0, 45.0, 0.0]

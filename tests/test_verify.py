@@ -15,7 +15,7 @@ from polymerlab.gibbs import GibbsParams, ReplicaError, hamiltonian, quenched_av
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
 from polymerlab.verify import (BoundConstants, ExpoIneqCase, _conditional_log_w, _draw_batches,
-                               _tilted_log_mass, ball_bound_test, check_expo_ineq,
+                               _tilted_report, ball_bound_test, check_expo_ineq,
                                check_log_moment_bounds, concentration_bound, concentration_scan,
                                girsanov_identity_test, make_report, martingale_increment_probe,
                                mean_control_test, random_expo_cases)
@@ -197,10 +197,11 @@ def test_mean_control_small_run_passes():
 
 
 def test_tilted_log_mass_smoothing_on_zero_hits():
-    (value, smoothed), = _tilted_log_mass(0, UNIT, 4, 50, 0.0, [TiltSpec(np.array([1.0]), 4)],
-                                         [lambda t: np.zeros(t.M, dtype=bool)], L=20.0)
-    assert smoothed
-    assert value == pytest.approx(-math.log(51.0))
+    never = ("never", 0.0, TiltSpec(np.array([1.0]), 4), lambda t: np.zeros(t.M, dtype=bool))
+    rep, = _tilted_report([4], lambda n: [never], GibbsParams(beta=0.0, M=50), range(2), 1,
+                          kernel=UNIT, L=20.0)
+    assert rep.notes == "smoothed_replicas=2"
+    assert rep.estimate == pytest.approx(-math.log(51.0))
 
 
 # -- tilts sharing one replica -----------------------------------------------------
@@ -251,13 +252,13 @@ def test_mean_control_rows_equal_single_tilt_calls_on_the_shared_grid(L):
 def test_d1_ball_rows_equal_single_tilt_calls_on_the_shared_grid(L):
     n, params, seeds = 9, GibbsParams(beta=0.5, M=150), range(10, 16)
     radius = 9.0 ** 0.75
-    got = ball_bound_test(0.75, n, n, [(2,), (4,)], params, seeds, L=L)
+    got = ball_bound_test(0.75, [n], [(2,), (4,)], params, seeds, L=L)
     want = [reference_tilted_report(
         f"ball_bound(n=9,k=9,j=({j},),alpha=0.75,beta=0.5)", -0.5 * 3.0 * (j - 1) ** 2, seeds,
         kernel=UNIT, n=n, M=params.M, beta=params.beta,
         tilt=TiltSpec(np.array([(j - 1) * radius]), n),
         event_fn=lambda t, j=j: np.abs(t.positions[:, n - 1, :] - j * radius).max(axis=1) <= radius,
-        L=L if L is not None else suggested_halfwidth(n, drift=3 * radius, margin=radius + 1))
+        L=L if L is not None else suggested_halfwidth(n, drift=3 * radius))
         for j in (2, 4)]
     assert got == want
 
@@ -267,7 +268,7 @@ def test_d2_exact_ball_takes_one_j_per_field():
     n, params, seeds = 4, GibbsParams(beta=0.4, M=40), range(3)
     radius = 4.0 ** 0.75
     js = [(2, 2), (-2, 2)]
-    got = ball_bound_test(0.75, n, n, js, params, seeds, kernel=kernel)
+    got = ball_bound_test(0.75, [n], js, params, seeds, kernel=kernel)
     want = []
     for j in js:
         j = np.array(j)
@@ -284,9 +285,13 @@ def test_tilted_log_mass_pairs_equal_single_tilt_calls():
     tilts = [TiltSpec(np.array([a]), 4) for a in (0.0, 2.0, 3.0)]
     events = [lambda t: t.endpoints[:, 0] >= 0.0, lambda t: t.endpoints[:, 0] >= 2.0,
               lambda t: np.zeros(t.M, dtype=bool)]
-    got = _tilted_log_mass(7, UNIT, 4, 80, 0.6, tilts, events, L=50.0)
-    want = [reference_tilted_log_mass(7, UNIT, 4, 80, 0.6, t, e, L=50.0) for t, e in zip(tilts, events)]
-    assert got == want and got[2] == (-math.log(81.0), True) and not got[1][1]
+    cases = [(f"tilt{i}", 0.0, t, e) for i, (t, e) in enumerate(zip(tilts, events))]
+    seeds, params = [7, 8], GibbsParams(beta=0.6, M=80)
+    got = _tilted_report([4], lambda n: cases, params, seeds, 1, kernel=UNIT, L=50.0)
+    want = [reference_tilted_report(name, 0.0, seeds, kernel=UNIT, n=4, M=80, beta=0.6, tilt=t,
+                                    event_fn=e, L=50.0) for name, _, t, e in cases]
+    assert got == want and not got[1].notes
+    assert got[2].estimate == -math.log(81.0) and got[2].notes == "smoothed_replicas=2"
 
 
 @pytest.mark.parametrize("L", [None, 40.0])
@@ -311,8 +316,8 @@ def test_verify_meancontrol_builds_one_handle_per_replica_and_n(tmp_path, monkey
 
 def test_ball_bound_scaling_of_emitted_bounds():
     params = GibbsParams(beta=0.5, M=400)
-    r2, = ball_bound_test(0.75, 9, 9, [(2,)], params, range(20))
-    r4, = ball_bound_test(0.75, 9, 9, [(4,)], params, range(20, 40))
+    r2, = ball_bound_test(0.75, [9], [(2,)], params, range(20))
+    r4, = ball_bound_test(0.75, [9], [(4,)], params, range(20, 40))
     assert r2.upper_bound == -0.5 * 3.0                 # n^{2a-1} = sqrt(9)
     assert r4.upper_bound / r2.upper_bound == 9.0       # (j - sgn j)^2 scaling
     assert r2.passed and r4.passed
@@ -320,7 +325,7 @@ def test_ball_bound_scaling_of_emitted_bounds():
 
 def test_ball_bound_two_dimensional_bound_value():
     kernel = KernelSpec(kind="product-exponential")
-    rep, = ball_bound_test(0.75, 9, 9, [(2, 2)], GibbsParams(beta=0.3, M=150),
+    rep, = ball_bound_test(0.75, [9], [(2, 2)], GibbsParams(beta=0.3, M=150),
                            range(12), kernel=kernel)
     assert rep.upper_bound == pytest.approx(-3.0)       # -(sqrt(9)/2) * 2
     assert rep.passed
@@ -329,15 +334,13 @@ def test_ball_bound_two_dimensional_bound_value():
 def test_ball_bound_validation():
     params = GibbsParams(beta=0.5, M=10)
     with pytest.raises(ValueError):
-        ball_bound_test(0.8, 4, 4, [(0,)], params, range(2))
+        ball_bound_test(0.8, [4], [(0,)], params, range(2))
     with pytest.raises(ValueError):
-        ball_bound_test(0.8, 4, 4, [(2,), (3,)], params, range(2))
-    with pytest.raises(ValueError):
-        ball_bound_test(0.8, 4, 5, [(2,)], params, range(2))
+        ball_bound_test(0.8, [4], [(2,), (3,)], params, range(2))
     with pytest.raises(ValueError, match="one dimension"):
-        ball_bound_test(0.8, 4, 4, [(2,), (2, 2)], params, range(2))
+        ball_bound_test(0.8, [4], [(2,), (2, 2)], params, range(2))
     with pytest.raises(ValueError, match="one dimension"):
-        ball_bound_test(0.8, 4, 4, [], params, range(2))
+        ball_bound_test(0.8, [4], [], params, range(2))
 
 
 # -- concentration -----------------------------------------------------------------
@@ -365,7 +368,7 @@ def test_replica_fan_outs_name_the_failed_replica():
     # L = 1 is far too narrow a grid for n = 9 walks
     params = GibbsParams(beta=0.5, M=50)
     for run in (lambda: mean_control_test([0.8], [9], params, range(2), L=1.0),
-                lambda: ball_bound_test(0.75, 9, 9, [[2]], params, range(2), L=1.0),
+                lambda: ball_bound_test(0.75, [9], [[2]], params, range(2), L=1.0),
                 lambda: concentration_scan(params, 0.75, [9], range(200), L=1.0)):
         with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\)"):
             run()
