@@ -15,10 +15,21 @@ Subcommands
     replicas, whose replica covers every n of the suite.  The tilts of
     girsanov (two lambdas), meancontrol (every alpha) and the d = 1 ball
     (both j's) share one field and one path set per (replica, n); the d > 1
-    ball, on the exact backend, caps R at 50 and M at 300, notes a binding
-    cap in its rows, and draws one j per field.
+    ball, on the exact backend, draws one j per field.  ``--threads`` runs
+    the suites of ``all`` side by side, each in one thread at d = 1, where
+    grid replicas hold the GIL for most of their small numpy calls; at d > 1
+    the ball's exact-backend replicas, whose LAPACK calls release it, also
+    share the threads, and a suite run alone has them all.  The files are
+    written in suite order once every suite has returned, so a failed suite
+    leaves none, and the manifest's suite timings overlap.
 ``xi-scan`` / ``fluct-fit``
     Containment-mass tables and the spread-slope fit.
+
+At d > 1 (the exact backend) every command that builds replicas runs at
+most ``EXACT_MAX_R`` replicas of at most ``EXACT_MAX_M`` paths, the one
+rule of :func:`exact_budget`; a binding cap is noted in the ball's rows and
+in the scans' manifest summary, and the scans' R and M columns hold the
+counts used.
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 usage or
 configuration error (a boolean, NaN or infinite config number; d > 1
@@ -61,6 +72,7 @@ from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDo
                           SpectralClippingError, covariance_selftest, grid_spacing)
 from .exponent import fluctuation_fit, xi_scan
 from .gibbs import GibbsParams, ReplicaError
+from .parallel import parallel_map
 from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckReport,
                      ball_bound_test, check_expo_ineq, check_log_moment_bounds, concentration_scan,
                      girsanov_identity_test, make_report, martingale_increment_probe,
@@ -71,6 +83,7 @@ REPORT_CSV_HEADER = ("name", "estimate", "stderr", "lower_bound", "upper_bound",
 SPREADS_CSV_HEADER = ("quantity", "n", "beta", "value", "M", "R", "seed")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+EXACT_MAX_R, EXACT_MAX_M = 50, 300     # replicas and paths per replica at d > 1
 BALL_ALPHA = 0.75           # makes n^(2*alpha-1) dyadic on the default n values
 BALL_N_VALUES = (9, 16)
 INCREMENT_N = 4
@@ -108,6 +121,19 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(_json_safe(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def exact_budget(cfg: RunConfig) -> tuple[int, int, str]:
+    """The (R, M) a command runs with, and a note naming them when a cap binds, else "".
+
+    At d > 1 every command runs on the exact backend, where each slice pays
+    for the covariance of the M points it is queried at and for its Cholesky
+    factor, so R and M are capped there; d = 1 runs uncapped.
+    """
+    if cfg.d == 1:
+        return cfg.R, cfg.M, ""
+    R, M = min(cfg.R, EXACT_MAX_R), min(cfg.M, EXACT_MAX_M)
+    return R, M, f"R={R},M={M}" if (R, M) != (cfg.R, cfg.M) else ""
 
 
 def _summarize(reports: list[BoundCheckReport]) -> dict:
@@ -161,17 +187,11 @@ def _suite_meancontrol(cfg: RunConfig) -> list[BoundCheckReport]:
 
 
 def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
-    # The exact backend (d > 1) pays, per slice, for building the covariance
-    # of 2M points and for its Cholesky factor, so replica and path counts
-    # are capped there; rows run under a binding cap note the counts used.
-    if cfg.d == 1:
-        j_list, R_eff, M_eff = [(2,), (4,)], cfg.R, cfg.M
-    else:
-        j_list, R_eff, M_eff = [(2,) * cfg.d], min(cfg.R, 50), min(cfg.M, 300)
-    reports = ball_bound_test(BALL_ALPHA, BALL_N_VALUES, j_list, GibbsParams(beta=cfg.beta, M=M_eff),
-                              cfg.env_seeds(R_eff), kernel=cfg.kernel, h=cfg.h, L=cfg.L,
+    R, M, capped = exact_budget(cfg)
+    j_list = [(2,), (4,)] if cfg.d == 1 else [(2,) * cfg.d]
+    reports = ball_bound_test(BALL_ALPHA, BALL_N_VALUES, j_list, GibbsParams(beta=cfg.beta, M=M),
+                              cfg.env_seeds(R), kernel=cfg.kernel, h=cfg.h, L=cfg.L,
                               threads=cfg.threads)
-    capped = f"R={R_eff},M={M_eff}" if (R_eff, M_eff) != (cfg.R, cfg.M) else ""
     return [replace(r, notes=",".join(filter(None, (r.notes, capped)))) for r in reports]
 
 
@@ -296,9 +316,17 @@ def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
         raise ConfigError(f"verify meancontrol needs every alphas entry > 1/2, got {min(cfg.alphas):g}")
     if "concentration" in names and cfg.R < CONCENTRATION_MIN_R:
         raise ConfigError(f"verify concentration needs R >= {CONCENTRATION_MIN_R}, got {cfg.R}")
-    for name in names:
-        with frame.stage(name):
-            reports = _SUITE_RUNNERS[name](cfg)
+    # the suites run side by side; d = 1 grid replicas hold the GIL, so
+    # there a suite beside others runs its replicas in one thread
+    suite_cfg = replace(cfg, threads=1) if cfg.d == 1 and len(names) > 1 else cfg
+
+    def run_suite(name: str) -> tuple[list[BoundCheckReport], float]:
+        t0 = time.perf_counter()
+        reports = _SUITE_RUNNERS[name](suite_cfg)
+        return reports, time.perf_counter() - t0
+
+    for name, (reports, seconds) in zip(names, parallel_map(run_suite, names, cfg.threads)):
+        frame.timings[name] = seconds
         frame.write(f"verify_{name}.csv", REPORT_CSV_HEADER,
                     [(r.name, r.estimate, r.stderr, r.lower_bound, r.upper_bound, r.margin_sigmas,
                       r.passed) for r in reports])
@@ -309,24 +337,28 @@ def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
 
 
 def cmd_xi_scan(cfg: RunConfig, frame: _Frame) -> int:
-    params = GibbsParams(beta=cfg.beta, M=cfg.M)
+    R, M, capped = exact_budget(cfg)
+    params = GibbsParams(beta=cfg.beta, M=M)
     rows = []
     with frame.stage("xi-scan"):
         for event in ("endpoint", "running_max"):
-            rows += xi_scan(cfg.alphas, cfg.n_grid, params, cfg.env_seeds(), event=event,
+            rows += xi_scan(cfg.alphas, cfg.n_grid, params, cfg.env_seeds(R), event=event,
                             kernel=cfg.kernel, d=cfg.d, backend=cfg.backend_kind,
                             h=cfg.h, L=cfg.L, threads=cfg.threads)
     frame.write("xi_scan.csv", ("n", "alpha", "event", "mass_mean", "mass_stderr", "R", "M", "seed"),
                 [(r.n, r.alpha, r.event, r.mass_mean, r.mass_stderr, r.R, r.M, cfg.seed)
                  for r in rows])
     frame.summary["rows"] = len(rows)
+    if capped:
+        frame.summary["capped"] = capped
     return 0
 
 
 def cmd_fluct_fit(cfg: RunConfig, frame: _Frame) -> int:
-    params = GibbsParams(beta=cfg.beta, M=cfg.M)
+    R, M, capped = exact_budget(cfg)
+    params = GibbsParams(beta=cfg.beta, M=M)
     with frame.stage("fluct-fit"):
-        fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(), kernel=cfg.kernel, d=cfg.d,
+        fit = fluctuation_fit(cfg.n_grid, params, cfg.env_seeds(R), kernel=cfg.kernel, d=cfg.d,
                               backend=cfg.backend_kind, h=cfg.h, L=cfg.L, threads=cfg.threads)
     frame.write("fluct_fit.json", {
         "xi_hat": fit.xi_hat, "ci_low": fit.ci_low, "ci_high": fit.ci_high,
@@ -335,9 +367,11 @@ def cmd_fluct_fit(cfg: RunConfig, frame: _Frame) -> int:
         "spreads_median": list(fit.spreads_median), "spreads_mean": list(fit.spreads_mean),
     })
     frame.write("fluct_fit_spreads.csv", SPREADS_CSV_HEADER,
-                [("runmax_spread_median", n, cfg.beta, med, cfg.M, cfg.R, cfg.seed)
+                [("runmax_spread_median", n, cfg.beta, med, M, R, cfg.seed)
                  for n, med in zip(fit.n_grid, fit.spreads_median)])
     frame.summary["xi_hat"] = fit.xi_hat
+    if capped:
+        frame.summary["capped"] = capped
     return 0
 
 

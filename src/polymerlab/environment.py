@@ -256,13 +256,14 @@ class EnvironmentHandle:
 
     # -- grid backend ----------------------------------------------------
 
-    def synthesize(self, z: np.ndarray) -> np.ndarray:
+    def synthesize(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid fields from real standard normals ``z`` of shape (..., n_circ).
 
         Per field, normal 0 is the real mode 0, normals 2j - 1 and 2j are the
         real and imaginary parts of mode j for 0 < j < n_circ/2, and the last
         normal is the real mode n_circ/2.  The result is the inverse real
-        FFT of that scaled half-spectrum, cut to the grid's n_nodes.
+        FFT of that scaled half-spectrum, cut to the grid's n_nodes, and a
+        view of ``out``, a float array of ``z``'s shape, when one is given.
         Complex or wrongly shaped normals raise ``ValueError``; ``z`` is
         not modified.
         """
@@ -277,7 +278,8 @@ class EnvironmentHandle:
         parts = half.view(float)    # Re 0, Im 0, Re 1, ...: Im 0 and Im n_circ/2 stay 0
         np.multiply(z[..., :1], scale[:1], out=parts[..., :1])
         np.multiply(z[..., 1:], scale[1:], out=parts[..., 2:m + 1])
-        return np.fft.irfft(half, n=m, axis=-1)[..., :self.n_nodes]
+        # irfft's ``out`` needs numpy >= 2.0, the declared floor
+        return np.fft.irfft(half, n=m, axis=-1, out=out)[..., :self.n_nodes]
 
     def build_grid_slice(self, k: int) -> np.ndarray:
         """Synthesize (or fetch) the field on the grid for slice k."""

@@ -1,7 +1,9 @@
-"""Deterministic fan-out over environment replicas for ``gibbs.quenched_average``.
+"""Deterministic fan-out: environment replicas for ``gibbs.quenched_average``, suites for ``verify``.
 
 Work items carry their own seeds, so results are identical whatever the
-thread count; outputs are collected in submission order.
+thread count; outputs are collected in submission order.  ``cli.cmd_verify``
+runs the suites of ``verify all`` through it, and each suite's replicas go
+through it again, in one thread at d = 1 when other suites run beside it.
 """
 
 from __future__ import annotations

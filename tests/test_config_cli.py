@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,9 @@ from polymerlab.config import ConfigError, DEFAULT_CONFIG, load_config
 from polymerlab.gibbs import GibbsParams, quenched_average
 from polymerlab.kernels import gamma_eval
 from polymerlab.verify import make_report, martingale_increment_probe
+
+
+D2_EXACT = {"d": 2, "kernel": {"kind": "product-exponential"}, "backend": {"kind": "exact"}}
 
 
 def write_config(tmp_path: Path, **overrides) -> str:
@@ -201,21 +206,99 @@ def test_exact_backend_ball_d2_is_byte_identical_across_threads(tmp_path):
 
 
 def test_each_verify_suite_fans_out_once(tmp_path, monkeypatch):
-    calls = []
+    calls = []      # (replicas, threads) per fan-out, appended by the suites' threads
 
     def counting(env_seeds, estimator, threads=1):
-        calls.append(len(list(env_seeds)))
+        calls.append((len(list(env_seeds)), threads))
         return quenched_average(env_seeds, estimator, threads=threads)
 
     monkeypatch.setattr(verify, "quenched_average", counting)
     cfg = write_config(tmp_path, M=20, R=200, n_grid=[4, 9])
-    assert main(["verify", "all", "--config", cfg, "--out", str(tmp_path / "d1")]) in (0, 1)
-    assert calls == [200] * 4       # girsanov, meancontrol, ball, concentration
+    assert main(["verify", "all", "--config", cfg, "--out", str(tmp_path / "d1"),
+                 "--threads", "2"]) in (0, 1)
+    # girsanov, meancontrol, ball and concentration, each replica in its suite's thread
+    assert sorted(calls) == [(200, 1)] * 4
     calls.clear()
-    d2 = write_config(tmp_path, d=2, kernel={"kind": "product-exponential"},
-                      backend={"kind": "exact"}, M=20, R=3)
-    assert main(["verify", "ball", "--config", d2, "--out", str(tmp_path / "d2")]) in (0, 1)
-    assert calls == [3]
+    assert main(["verify", "meancontrol", "--config", cfg, "--out", str(tmp_path / "alone"),
+                 "--threads", "2"]) in (0, 1)
+    assert calls == [(200, 2)]      # a suite run alone keeps the threads
+    calls.clear()
+    d2 = write_config(tmp_path, **D2_EXACT, M=20, R=3)
+    assert main(["verify", "all", "--config", d2, "--out", str(tmp_path / "d2"),
+                 "--threads", "2"]) in (0, 1)
+    assert sorted(calls) == [(3, 2)]      # the exact-backend ball keeps the threads
+
+
+@pytest.mark.parametrize("overrides", [{"M": 20, "R": 200, "n_grid": [4, 9]},
+                                       {**D2_EXACT, "M": 30, "R": 4}])
+def test_verify_all_is_byte_identical_across_threads(tmp_path, overrides):
+    # three threads on two cores, switching often, would show a lost warning or spectrum
+    cfg, interval = write_config(tmp_path, **overrides), sys.getswitchinterval()
+    runs = []
+    sys.setswitchinterval(1e-4)
+    try:
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            assert main(["verify", "all", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) in (0, 1)
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs.append((manifest["outputs"], manifest["warnings"],
+                         {name: (out / name).read_bytes() for name in manifest["outputs"]}))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+    assert sorted(p.name for p in (tmp_path / "1").iterdir()) == sorted([*runs[0][0], "manifest.json"])
+
+
+def test_verify_suites_run_side_by_side(tmp_path, monkeypatch):
+    # each of two suites waits for the other; run in turn, the barrier times out
+    barrier = threading.Barrier(2, timeout=20)
+
+    def meeting(cfg):
+        barrier.wait()
+        return [make_report("met", 0.0, 0.0)]
+
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli._SUITE_RUNNERS, name,
+                            meeting if name in ("lemma21", "increment") else lambda cfg: [])
+    out = tmp_path / "out"
+    assert main(["verify", "all", "--config", write_config(tmp_path, R=200), "--out", str(out),
+                 "--threads", "2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [f"verify_{name}.csv" for name in cli.VERIFY_SUITES] + [
+        "verify_summary.json"]
+    assert set(manifest["timings_seconds"]) == set(cli.VERIFY_SUITES)
+
+
+def test_scans_on_the_exact_backend_run_capped_at_default_R_and_M(tmp_path):
+    cfg = write_config(tmp_path, **D2_EXACT, R=DEFAULT_CONFIG["R"], M=DEFAULT_CONFIG["M"],
+                       n_grid=[1, 2, 3, 4])
+    R, M = cli.EXACT_MAX_R, cli.EXACT_MAX_M
+    assert R < DEFAULT_CONFIG["R"] and M < DEFAULT_CONFIG["M"]
+    for command, data in (("xi-scan", "xi_scan.csv"), ("fluct-fit", "fluct_fit_spreads.csv")):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["summary"]["capped"] == f"R={R},M={M}"
+        with open(out / data, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all((row["R"], row["M"]) == (str(R), str(M)) for row in rows)
+
+
+def test_every_replica_command_takes_the_one_exact_budget(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(cfg):
+        calls.append(command)
+        return budget(cfg)
+
+    budget = cli.exact_budget
+    monkeypatch.setattr(cli, "exact_budget", counting)
+    commands = (["verify", "ball"], ["xi-scan"], ["fluct-fit"])
+    for overrides in ({}, D2_EXACT):
+        cfg = write_config(tmp_path, **overrides, M=20, R=3, n_grid=[2, 3, 4, 5])
+        for command in commands:
+            assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
+    assert calls == [*commands] * 2
 
 
 def test_d2_ball_notes_a_binding_cap(tmp_path):
@@ -376,23 +459,23 @@ def test_verify_increment_rows_are_the_probe_reports(tmp_path):
     assert json.loads((out / "verify_summary.json").read_text())["increment"]["checks"] == 5
 
 
-D2_EXACT = {"d": 2, "kernel": {"kind": "product-exponential"}, "backend": {"kind": "exact"}}
-
-
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("command, overrides, code", [
     (["verify", "girsanov"], D2_EXACT, 2),
     (["env-check"], {"backend": {"L": 0.5}}, 3),
+    # the moment suites pass; girsanov is the first suite to fail
+    (["verify", "all"], {"backend": {"L": 1.0}, "R": 200}, 3),
 ])
 def test_failed_command_removes_only_the_empty_directories_it_made(tmp_path, capsys, command,
-                                                                   overrides, code):
+                                                                   overrides, code, threads):
     cfg = write_config(tmp_path, **overrides)
     made = tmp_path / "a" / "b" / "out"
-    assert main([*command, "--config", cfg, "--out", str(made)]) == code
+    assert main([*command, "--config", cfg, "--out", str(made), "--threads", threads]) == code
     assert not (tmp_path / "a").exists()
     existing = tmp_path / "existing"
     existing.mkdir()
-    assert main([*command, "--config", cfg, "--out", str(existing)]) == code
-    assert existing.is_dir()
+    assert main([*command, "--config", cfg, "--out", str(existing), "--threads", threads]) == code
+    assert existing.is_dir() and not list(existing.iterdir())
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("polymerlab: ") for line in err)
 

@@ -193,6 +193,9 @@ def test_synthesize_matches_plain_ifft_and_keeps_z(batch):
     got = env.synthesize(z)
     assert got.shape == (*batch, env.n_nodes)
     assert got.tobytes() == want.tobytes()
+    out = np.full_like(z, np.nan)
+    into = env.synthesize(z, out=out)
+    assert into.base is out and into.tobytes() == want.tobytes()
     assert z.tobytes() == before.tobytes()
 
 

@@ -25,6 +25,11 @@ def test_requires_the_python_that_ci_tests():
     assert tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"] == ">=3.11"
 
 
+def test_requires_the_numpy_whose_irfft_takes_out():
+    # EnvironmentHandle.synthesize passes out= to np.fft.irfft, new in numpy 2.0
+    assert "numpy>=2.0" in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test dependency only: no module of the package imports it
     env = dict(os.environ)
