@@ -15,13 +15,17 @@ Subcommands
     replicas, whose replica covers every n of the suite.  The tilts of
     girsanov (two lambdas), meancontrol (every alpha) and the d = 1 ball
     (both j's) share one field and one path set per (replica, n); the d > 1
-    ball, on the exact backend, draws one j per field.  ``--threads`` runs
-    the suites of ``all`` side by side, each in one thread at d = 1, where
-    grid replicas hold the GIL for most of their small numpy calls; at d > 1
-    the ball's exact-backend replicas, whose LAPACK calls release it, also
-    share the threads, and a suite run alone has them all.  The files are
-    written in suite order once every suite has returned, so a failed suite
-    leaves none, and the manifest's suite timings overlap.
+    ball, on the exact backend, draws one j per field.  For ``all``,
+    ``--threads N`` (N > 1) means up to N worker processes, started by fork
+    on Linux, that run the suites side by side, so they share no GIL.  At
+    d = 1 each suite runs its replicas in one thread in its worker; at
+    d > 1 the ball keeps N threads for its exact-backend replicas, whose
+    LAPACK calls release the GIL.  A suite run alone, or every suite at
+    ``--threads 1``, runs in this process; a suite run alone gives its
+    replicas the N threads.  Each suite's warnings come back from its
+    worker and are counted in suite order; the files are written in suite
+    order once every suite has returned, so a failed suite leaves none,
+    and the manifest's suite timings overlap.
 ``xi-scan`` / ``fluct-fit``
     Containment-mass tables and the spread-slope fit.
 
@@ -37,12 +41,14 @@ without the exact backend and a kernel other than exponential-petermann;
 a configuration too large for memory; a d = 1-only suite at d > 1; a
 suite hypothesis, checked before any suite runs; an ``--out`` that
 cannot be made or an output that cannot be written, named in the one
-stderr line), 3 numerical failure (ill-conditioned covariance,
+stderr line; a suite worker process that died, killed by the
+out-of-memory killer, say), 3 numerical failure (ill-conditioned covariance,
 clipped spectrum, grid domain overflow, failed replica), reported as one
 stderr line; a failure removes the directories it made while empty.  Data
 outputs are byte-identical for identical (config, seed) at any thread
-count; the manifest additionally records wall-clock timings and the
-process's peak resident memory (``peak_rss_mib``), so it is the one file
+count; the manifest additionally records wall-clock timings and the peak
+resident memory (``peak_rss_mib``) of the process or of its largest
+suite worker, whichever is higher, so it is the one file
 excluded from that guarantee.  It also counts, by class, the warnings a
 command raised instead of printing them, and the numeric environment
 (numpy version, BLAS thread variables as set, CPU count).
@@ -60,6 +66,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
@@ -72,7 +79,6 @@ from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDo
                           SpectralClippingError, covariance_selftest, grid_spacing)
 from .exponent import fluctuation_fit, xi_scan
 from .gibbs import GibbsParams, ReplicaError
-from .parallel import parallel_map
 from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckReport,
                      ball_bound_test, check_expo_ineq, check_log_moment_bounds, concentration_scan,
                      girsanov_identity_test, make_report, martingale_increment_probe,
@@ -230,14 +236,28 @@ _SUITE_RUNNERS = {
 VERIFY_SUITES = tuple(_SUITE_RUNNERS)     # in the order `verify all` runs them
 
 
+def _run_suite(name: str, cfg: RunConfig) -> tuple[list[BoundCheckReport], float, list]:
+    """One suite's reports, its seconds and the warnings it raised, in this process or a worker.
+
+    The runner is looked up here, so a forked worker runs the parent's
+    ``_SUITE_RUNNERS`` as they stood at the fork.
+    """
+    t0 = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reports = _SUITE_RUNNERS[name](cfg)
+    return reports, time.perf_counter() - t0, caught
+
+
 # -- commands -----------------------------------------------------------------
 
 
 class _Frame:
     """One command's output dir, outputs, stage timings, summary and manifest.
 
-    Entering it makes the output dir and records warnings (worker threads' too) instead
-    of printing them; a clean exit writes ``manifest.json``, counting them by class, and
+    Entering it makes the output dir and records warnings (worker threads' too, and
+    those a suite worker process sends back, as ``cmd_verify`` replays them) instead of
+    printing them; a clean exit writes ``manifest.json``, counting them by class, and
     a failed one removes the directories that entering made, if they are still empty.
     """
 
@@ -268,7 +288,9 @@ class _Frame:
                 "timings_seconds": self.timings,
                 "summary": self.summary,
                 "warnings": dict(Counter(w.category.__name__ for w in self._caught)),
-                "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
+                # KiB on Linux; the children are the suite workers, reaped by now
+                "peak_rss_mib": max(resource.getrusage(who).ru_maxrss for who in (
+                    resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0,
                 "numeric_environment": {"numpy": np.__version__, "cpu_count": os.cpu_count(),
                                         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
             })
@@ -316,16 +338,22 @@ def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
         raise ConfigError(f"verify meancontrol needs every alphas entry > 1/2, got {min(cfg.alphas):g}")
     if "concentration" in names and cfg.R < CONCENTRATION_MIN_R:
         raise ConfigError(f"verify concentration needs R >= {CONCENTRATION_MIN_R}, got {cfg.R}")
-    # the suites run side by side; d = 1 grid replicas hold the GIL, so
-    # there a suite beside others runs its replicas in one thread
+    # d = 1 grid replicas hold the GIL, so there a suite beside others runs its replicas
+    # in one thread
     suite_cfg = replace(cfg, threads=1) if cfg.d == 1 and len(names) > 1 else cfg
+    if cfg.threads > 1 and len(names) > 1:
+        import multiprocessing      # here, so importing the CLI does not load it
+        from concurrent.futures import ProcessPoolExecutor
 
-    def run_suite(name: str) -> tuple[list[BoundCheckReport], float]:
-        t0 = time.perf_counter()
-        reports = _SUITE_RUNNERS[name](suite_cfg)
-        return reports, time.perf_counter() - t0
+        with ProcessPoolExecutor(min(cfg.threads, len(names)),
+                                 multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_run_suite, names, [suite_cfg] * len(names)))
+    else:
+        results = [_run_suite(name, suite_cfg) for name in names]
 
-    for name, (reports, seconds) in zip(names, parallel_map(run_suite, names, cfg.threads)):
+    for name, (reports, seconds, caught) in zip(names, results):
+        for w in caught:        # into the frame's recorder, in suite order
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         frame.timings[name] = seconds
         frame.write(f"verify_{name}.csv", REPORT_CSV_HEADER,
                     [(r.name, r.estimate, r.stderr, r.lower_bound, r.upper_bound, r.margin_sigmas,
@@ -379,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file (defaults embedded)")
     common.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-    common.add_argument("--threads", type=int, metavar="N", help="override the config's worker threads")
+    common.add_argument("--threads", type=int, metavar="N",
+                        help="override the config's worker threads (verify all: worker processes)")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
 
     parser = argparse.ArgumentParser(
@@ -414,7 +443,8 @@ def main(argv=None) -> int:
             ReplicaError) as exc:
         print(f"polymerlab: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, MemoryError, OSError) as exc:    # OSError: making or writing an output
+    # OSError: making or writing an output; BrokenExecutor: a suite worker process died
+    except (ConfigError, ValueError, MemoryError, OSError, BrokenExecutor) as exc:
         print(f"polymerlab: error: {exc}", file=sys.stderr)
         return 2
 

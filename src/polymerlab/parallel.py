@@ -1,9 +1,10 @@
-"""Deterministic fan-out: environment replicas for ``gibbs.quenched_average``, suites for ``verify``.
+"""Deterministic fan-out of environment replicas for ``gibbs.quenched_average``.
 
 Work items carry their own seeds, so results are identical whatever the
-thread count; outputs are collected in submission order.  ``cli.cmd_verify``
-runs the suites of ``verify all`` through it, and each suite's replicas go
-through it again, in one thread at d = 1 when other suites run beside it.
+thread count; outputs are collected in submission order.  The suites of
+``verify all`` do not come through here: ``cli.cmd_verify`` runs them in
+forked worker processes, and there each suite's replicas come through here
+in one thread at d = 1.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from polymerlab import cli, verify
 from polymerlab.cli import main
 from polymerlab.config import ConfigError, DEFAULT_CONFIG, load_config
-from polymerlab.gibbs import GibbsParams, quenched_average
+from polymerlab.gibbs import GibbsParams, WeightDegeneracyWarning, quenched_average
 from polymerlab.kernels import gamma_eval
 from polymerlab.verify import make_report, martingale_increment_probe
 
@@ -206,27 +208,32 @@ def test_exact_backend_ball_d2_is_byte_identical_across_threads(tmp_path):
 
 
 def test_each_verify_suite_fans_out_once(tmp_path, monkeypatch):
-    calls = []      # (replicas, threads) per fan-out, appended by the suites' threads
+    # (replicas, threads) per fan-out, put by the suites in this process or in forked workers
+    queue = multiprocessing.get_context("fork").SimpleQueue()
 
     def counting(env_seeds, estimator, threads=1):
-        calls.append((len(list(env_seeds)), threads))
+        queue.put((len(list(env_seeds)), threads))
         return quenched_average(env_seeds, estimator, threads=threads)
+
+    def calls():
+        got = []
+        while not queue.empty():
+            got.append(queue.get())
+        return got
 
     monkeypatch.setattr(verify, "quenched_average", counting)
     cfg = write_config(tmp_path, M=20, R=200, n_grid=[4, 9])
     assert main(["verify", "all", "--config", cfg, "--out", str(tmp_path / "d1"),
                  "--threads", "2"]) in (0, 1)
     # girsanov, meancontrol, ball and concentration, each replica in its suite's thread
-    assert sorted(calls) == [(200, 1)] * 4
-    calls.clear()
+    assert sorted(calls()) == [(200, 1)] * 4
     assert main(["verify", "meancontrol", "--config", cfg, "--out", str(tmp_path / "alone"),
                  "--threads", "2"]) in (0, 1)
-    assert calls == [(200, 2)]      # a suite run alone keeps the threads
-    calls.clear()
+    assert calls() == [(200, 2)]      # a suite run alone keeps the threads
     d2 = write_config(tmp_path, **D2_EXACT, M=20, R=3)
     assert main(["verify", "all", "--config", d2, "--out", str(tmp_path / "d2"),
                  "--threads", "2"]) in (0, 1)
-    assert sorted(calls) == [(3, 2)]      # the exact-backend ball keeps the threads
+    assert sorted(calls()) == [(3, 2)]      # the exact-backend ball keeps the threads
 
 
 @pytest.mark.parametrize("overrides", [{"M": 20, "R": 200, "n_grid": [4, 9]},
@@ -252,10 +259,11 @@ def test_verify_all_is_byte_identical_across_threads(tmp_path, overrides):
 
 def test_verify_suites_run_side_by_side(tmp_path, monkeypatch):
     # each of two suites waits for the other; run in turn, the barrier times out
-    barrier = threading.Barrier(2, timeout=20)
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=20)
 
     def meeting(cfg):
         barrier.wait()
+        warnings.warn("met", WeightDegeneracyWarning)   # sent back from the worker process
         return [make_report("met", 0.0, 0.0)]
 
     for name in cli.VERIFY_SUITES:
@@ -268,6 +276,48 @@ def test_verify_suites_run_side_by_side(tmp_path, monkeypatch):
     assert manifest["outputs"] == [f"verify_{name}.csv" for name in cli.VERIFY_SUITES] + [
         "verify_summary.json"]
     assert set(manifest["timings_seconds"]) == set(cli.VERIFY_SUITES)
+    assert manifest["warnings"] == {"WeightDegeneracyWarning": 2}
+
+
+def test_a_dead_suite_worker_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # a worker killed by the out-of-memory killer breaks the pool the same way
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "girsanov", lambda cfg: os._exit(1))
+    cfg, made = write_config(tmp_path, R=200), tmp_path / "a" / "out"
+    assert main(["verify", "all", "--config", cfg, "--out", str(made), "--threads", "2"]) == 2
+    assert not (tmp_path / "a").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polymerlab: error: "), err
+
+
+def test_manifest_peak_rss_covers_the_suite_workers(tmp_path):
+    # run in a fresh interpreter, whose own peak stays below what the worker touches; it is
+    # started from a small launcher, since Linux carries the peak of the process that
+    # calls exec over to the program it starts
+    touched_mib = 120
+    code = f"""
+import json, resource, sys
+import numpy as np
+from polymerlab import cli
+
+def touching(cfg):
+    np.ones({touched_mib} * 2**20 // 8)     # every page written
+    return []
+
+for name in cli.VERIFY_SUITES:
+    cli._SUITE_RUNNERS[name] = touching if name == "lemma21" else (lambda cfg: [])
+code = cli.main(["verify", "all", "--threads", "2", "--out", sys.argv[1]])
+print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent),
+                                                     env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code, str(out)],
+                          env=env, capture_output=True, text=True, check=True)
+    exit_code, own_peak = json.loads(done.stdout.splitlines()[-1])
+    assert exit_code == 0 and own_peak < touched_mib
+    assert json.loads((out / "manifest.json").read_text())["peak_rss_mib"] >= touched_mib
 
 
 def test_scans_on_the_exact_backend_run_capped_at_default_R_and_M(tmp_path):

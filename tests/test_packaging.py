@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import subprocess
@@ -30,15 +31,26 @@ def test_requires_the_numpy_whose_irfft_takes_out():
     assert "numpy>=2.0" in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is a test dependency only: no module of the package imports it
+def _modules_loaded_by_importing_the_cli() -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, polymerlab.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    code = "import json, sys, polymerlab.cli; print(json.dumps(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert done.stdout.strip() == "[]", done.stdout
+    return json.loads(done.stdout)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only: no module of the package imports it
+    loaded = _modules_loaded_by_importing_the_cli()
+    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # cmd_verify imports multiprocessing only when it runs suites in worker processes
+    loaded = _modules_loaded_by_importing_the_cli()
+    assert [m for m in loaded if m.partition(".")[0] == "multiprocessing"
+            or m == "concurrent.futures.process"] == []
 
 
 def _runtime_dependencies():
