@@ -13,9 +13,8 @@ Subcommands
     grid whatever ``backend.kind`` says; at d > 1, ``all`` runs lemma21,
     lemma22 and ball.  Each suite makes one fan-out over the environment
     replicas, whose replica covers every n of the suite.  The tilts of
-    girsanov (two lambdas), meancontrol (every alpha) and the d = 1 ball
-    (both j's) share one field and one path set per (replica, n); the d > 1
-    ball, on the exact backend, draws one j per field.  For ``all``,
+    girsanov (two lambdas), meancontrol (every alpha) and the ball (every
+    j) share one field and one path set per (replica, n).  For ``all``,
     ``--threads N`` (N > 1) means up to N worker processes, started by fork
     on Linux, that run the suites side by side, so they share no GIL.  At
     d = 1 each suite runs its replicas in one thread in its worker; at
@@ -47,8 +46,9 @@ clipped spectrum, grid domain overflow, failed replica), reported as one
 stderr line; a failure removes the directories it made while empty.  Data
 outputs are byte-identical for identical (config, seed) at any thread
 count; the manifest additionally records wall-clock timings and the peak
-resident memory (``peak_rss_mib``) of the process or of its largest
-suite worker, whichever is higher, so it is the one file
+resident memory (``peak_rss_mib``) of the process itself, not of the
+program that started it, or of its largest suite worker, whichever is
+higher, so it is the one file
 excluded from that guarantee.  It also counts, by class, the warnings a
 command raised instead of printing them, and the numeric environment
 (numpy version, BLAS thread variables as set, CPU count).
@@ -249,6 +249,20 @@ def _run_suite(name: str, cfg: RunConfig) -> tuple[list[BoundCheckReport], float
     return reports, time.perf_counter() - t0, caught
 
 
+def _peak_rss_mib() -> float:
+    """Peak resident memory of this process or of its largest reaped child, in MiB.
+
+    The process's own ``VmHWM`` is read where it exists: Linux carries
+    ``RUSAGE_SELF``'s ``ru_maxrss`` over from the program that exec'd it.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024.0   # KiB
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -288,9 +302,8 @@ class _Frame:
                 "timings_seconds": self.timings,
                 "summary": self.summary,
                 "warnings": dict(Counter(w.category.__name__ for w in self._caught)),
-                # KiB on Linux; the children are the suite workers, reaped by now
-                "peak_rss_mib": max(resource.getrusage(who).ru_maxrss for who in (
-                    resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0,
+                # the children are the suite workers, reaped by now
+                "peak_rss_mib": _peak_rss_mib(),
                 "numeric_environment": {"numpy": np.__version__, "cpu_count": os.cpu_count(),
                                         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
             })

@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
+from .environment import BACKENDS
 from .kernels import KERNEL_KINDS, KernelSpec
 
 DEFAULT_CONFIG = {
@@ -103,8 +104,8 @@ def validate_config(doc: dict) -> RunConfig:
                         normalize_unit_variance=kdoc["normalize_unit_variance"])
 
     bdoc = doc["backend"]
-    _require(bdoc.get("kind") in ("exact", "grid"),
-             f"backend.kind must be 'exact' or 'grid', got {bdoc.get('kind')!r}")
+    _require(bdoc.get("kind") in BACKENDS,
+             f"backend.kind must be {' or '.join(map(repr, BACKENDS))}, got {bdoc.get('kind')!r}")
     for name in ("h", "L"):
         value = bdoc.get(name)
         _require(value is None or (_is_real(value) and value > 0),

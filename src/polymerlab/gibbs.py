@@ -17,9 +17,9 @@ with a cross-replica standard error.
 The estimators take H, never an environment; :func:`hamiltonian` is the one
 map from a field and paths to H.  :func:`replica_over_n` builds every
 quenched estimator's replica (paths, field, H), tilted copies of the paths
-included.  Every weighted sum here is ``np.sum`` of an elementwise
-product, never a BLAS dot, whose split of long sums depends on the BLAS
-thread count.
+included, and is the only place a replica's paths meet its field.  Every
+weighted sum here is ``np.sum`` of an elementwise product, never a BLAS
+dot, whose split of long sums depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -98,19 +98,6 @@ def hamiltonian(env: EnvironmentHandle, paths: PathEnsemble) -> np.ndarray:
     return out
 
 
-def replica_hamiltonian(seed: int, paths: PathEnsemble, beta: float, kernel: KernelSpec,
-                        d: int = 1, backend: str = "grid", h: float | None = None,
-                        L: float | None = None) -> np.ndarray:
-    """H of ``paths`` in the field realization ``seed``; zeros, with no field built, at beta=0.
-
-    All paths are queried together per slice, so ensembles concatenated
-    into ``paths`` stay coupled on one realization on either backend.
-    """
-    if beta == 0:
-        return np.zeros(paths.M)
-    return hamiltonian(EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L), paths)
-
-
 def replica_over_n(seed: int, n_values, params: GibbsParams, reduce, kernel: KernelSpec,
                    d: int = 1, backend: str = "grid", h: float | None = None,
                    L: float | None = None, tilts=lambda n: ()) -> np.ndarray:
@@ -118,9 +105,12 @@ def replica_over_n(seed: int, n_values, params: GibbsParams, reduce, kernel: Ker
 
     ``params.M`` free paths come from ``seed``.  With T ``TiltSpec``s in
     ``tilts(n)``, ``paths`` holds 1 + T blocks of M rows, the free paths and
-    one ``tilt_path`` copy per tilt, all coupled on one field by one
-    :func:`replica_hamiltonian` query.  The grid's half-width is ``L``, or
-    ``suggested_halfwidth(n, drift)`` for the tilts' largest |lambda_tilde|.
+    one ``tilt_path`` copy per tilt.  Per n, the field realization ``seed``
+    gets one ``EnvironmentHandle``, and :func:`hamiltonian` queries all
+    1 + T blocks together per slice, so they share one field on either
+    backend.  At beta = 0, H is zeros and no field is built.  The grid's
+    half-width is ``L``, or ``suggested_halfwidth(n, drift)`` for the
+    tilts' largest |lambda_tilde|.
     """
     parts = []
     for n in n_values:
@@ -129,9 +119,13 @@ def replica_over_n(seed: int, n_values, params: GibbsParams, reduce, kernel: Ker
         if specs:
             paths = PathEnsemble(np.concatenate(
                 [paths.positions, *(tilt_path(paths, tilt).positions for tilt in specs)]))
-        drift = max((float(np.abs(tilt.lambda_tilde).max()) for tilt in specs), default=0.0)
-        hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend, h=h,
-                                 L=L if L is not None else suggested_halfwidth(n, drift=drift))
+        if params.beta == 0:
+            hv = np.zeros(paths.M)
+        else:
+            drift = max((float(np.abs(tilt.lambda_tilde).max()) for tilt in specs), default=0.0)
+            hv = hamiltonian(EnvironmentHandle(
+                seed, kernel, d=d, backend=backend, h=h,
+                L=L if L is not None else suggested_halfwidth(n, drift=drift)), paths)
         parts.append(reduce(paths, hv, n))
     return np.hstack(parts)
 

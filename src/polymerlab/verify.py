@@ -10,11 +10,9 @@ Gaussian, while the polymer functionals use tilted-proposal importance
 sampling with exact reweighting.  Each polymer suite makes one
 ``quenched_average``, whose replica, built by ``gibbs.replica_over_n``,
 covers every n of the suite.  The tilts of one suite and one n (the alphas
-of mean control, the j's of the d = 1 ball, the lambdas of the Girsanov
-identity) share one field and one path set per (replica, n), on a grid
-wide enough for the largest drift; the exact backend (d > 1 ball) takes
-one j per field, since its joint Cholesky is cubic in the number of points
-queried together.
+of mean control, the j's of the ball, the lambdas of the Girsanov
+identity) share one field and one path set per (replica, n), on either
+backend; a grid is wide enough for the largest drift.
 """
 
 from __future__ import annotations
@@ -230,7 +228,7 @@ def check_log_moment_bounds(mu_atoms, mu_weights, beta: float, kernel: KernelSpe
 
 
 def _tilted_report(n_values, cases, params: GibbsParams, env_seeds, threads: int,
-                   backend: str = "grid", **replica_args) -> list[BoundCheckReport]:
+                   **replica_args) -> list[BoundCheckReport]:
     """Quenched mean of log <1_event> of each (name, bound, tilt, event) of ``cases(n)``, n-major.
 
     A case's tilted copy of the M free paths is reweighted by
@@ -238,31 +236,27 @@ def _tilted_report(n_values, cases, params: GibbsParams, env_seeds, threads: int
     once per field.  A case with no hit gets add-one smoothing, one
     pseudo-hit out of M+1, a conservative upper bound, and its row notes the
     replicas smoothed.  One :func:`quenched_average` builds each replica by
-    :func:`replica_over_n`: on the grid the cases of one n share one field
-    and one path set, and on the exact backend each (n, case) has its own.
+    one :func:`replica_over_n` over every n, on either backend, so the cases
+    of one n share one field and one path set.
     """
     M, beta = params.M, params.beta
 
-    def reduce_of(cases_of):
-        def reduce(paths, hv, n) -> list[float]:        # (log mass, 1.0 if smoothed) per case
-            log_z = _logsumexp(beta * hv[:M])
-            out = []
-            for t, (_, _, tilt, event) in enumerate(cases_of(n), start=1):
-                tilted, h1 = PathEnsemble(paths.positions[t * M:(t + 1) * M]), hv[t * M:(t + 1) * M]
-                hits = np.asarray(event(tilted), dtype=bool)
-                if not hits.any():
-                    out += [-math.log(M + 1.0), 1.0]
-                    continue
-                log_w = tilt_log_weight(tilted, tilt)
-                out += [float(_logsumexp(beta * h1[hits] + log_w[hits]) - log_z), 0.0]
-            return out
-        return reduce
+    def reduce(paths, hv, n) -> list[float]:        # (log mass, 1.0 if smoothed) per case
+        log_z = _logsumexp(beta * hv[:M])
+        out = []
+        for t, (_, _, tilt, event) in enumerate(cases(n), start=1):
+            tilted, h1 = PathEnsemble(paths.positions[t * M:(t + 1) * M]), hv[t * M:(t + 1) * M]
+            hits = np.asarray(event(tilted), dtype=bool)
+            if not hits.any():
+                out += [-math.log(M + 1.0), 1.0]
+                continue
+            log_w = tilt_log_weight(tilted, tilt)
+            out += [float(_logsumexp(beta * h1[hits] + log_w[hits]) - log_z), 0.0]
+        return out
 
-    fields = ([([n], lambda _, case=case: [case]) for n in n_values for case in cases(n)]
-              if backend == "exact" else [(n_values, cases)])   # (n values, their cases) per field
-    qa = quenched_average(env_seeds, lambda seed: np.hstack([replica_over_n(
-        seed, ns, params, reduce_of(of), backend=backend, **replica_args,
-        tilts=lambda n, of=of: [case[2] for case in of(n)]) for ns, of in fields]), threads=threads)
+    qa = quenched_average(env_seeds, lambda seed: replica_over_n(
+        seed, n_values, params, reduce, **replica_args,
+        tilts=lambda n: [case[2] for case in cases(n)]), threads=threads)
     reports = []
     for t, (name, bound, _, _) in enumerate(case for n in n_values for case in cases(n)):
         smoothed = int(qa.values[:, 2 * t + 1].sum())
@@ -317,7 +311,7 @@ def mean_control_test(alphas, n_grid, params: GibbsParams, env_seeds,
     def cases(n):
         return [(f"mean_control(n={n},alpha={alpha:g},beta={params.beta:g})",
                  -0.5 * float(n) ** (2 * alpha - 1),
-                 TiltSpec(lambda_tilde=np.array([float(n) ** alpha]), k=n),
+                 TiltSpec(lambda_tilde=np.array([float(n) ** alpha])),
                  lambda t, a=float(n) ** alpha: t.endpoints[:, 0] >= a)
                 for alpha in alphas]
 
@@ -333,9 +327,8 @@ def ball_bound_test(alpha: float, n_values, js, params: GibbsParams, env_seeds,
 
     Each j of ``js`` is a nonzero vector of even integers, all of one
     dimension d; the bound scales with sum_i (j_i - sgn(j_i))^2.  d=1 runs on
-    the grid, every j of one n on one field and one path set per replica;
-    d > 1 on the exact backend, one j per field, since its joint Cholesky is
-    cubic in the number of points queried together.
+    the grid and d > 1 on the exact backend; on either, every j of one n
+    shares one field and one path set per replica.
     """
     js = [np.atleast_1d(np.asarray(j, dtype=int)) for j in js]
     if not js or len({j.size for j in js}) != 1:
@@ -349,7 +342,7 @@ def ball_bound_test(alpha: float, n_values, js, params: GibbsParams, env_seeds,
         return [(f"ball_bound(n={n},k={n},j={tuple(int(x) for x in j)},alpha={alpha:g},"
                  f"beta={params.beta:g})",
                  -0.5 * float(n) ** (2 * alpha - 1) * float(((j - np.sign(j)) ** 2).sum()),
-                 TiltSpec(lambda_tilde=(j - np.sign(j)) * radius, k=n),
+                 TiltSpec(lambda_tilde=(j - np.sign(j)) * radius),
                  lambda t, c=j * radius, n=n, r=radius:
                      np.abs(t.positions[:, n - 1, :] - c).max(axis=1) <= r)
                 for j in js]

@@ -2,9 +2,10 @@
 
 Paths live in R^d, start at the origin (S_0 = 0, not stored) and take
 i.i.d. standard Gaussian increments per coordinate.  Tilting adds the
-deterministic ramp drift ``lambda_tilde * min(p/k, 1)``; the matching
-log density ratio against the base path law is available for exact
-reweighting, which is how rare-event functionals are estimated.
+deterministic ramp drift ``lambda_tilde * p/n``, which reaches
+``lambda_tilde`` at the last step; the matching log density ratio
+against the base path law is available for exact reweighting, which is
+how rare-event functionals are estimated.
 
 Reproducibility: replicas are grouped in fixed blocks of
 ``REPLICA_BLOCK`` = 256; block b draws from the Philox stream keyed by
@@ -64,40 +65,35 @@ def sample_paths(seed: int, M: int, n: int, d: int = 1) -> PathEnsemble:
 
 @dataclass(frozen=True)
 class TiltSpec:
-    """Ramp drift: total displacement lambda_tilde reached linearly by step k."""
+    """Ramp drift: total displacement lambda_tilde reached linearly by the last step.
+
+    A non-finite drift is rejected here, before any path is built.
+    """
 
     lambda_tilde: np.ndarray    # (d,) total drift
-    k: int                      # pivot step
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_tilde", np.atleast_1d(np.asarray(self.lambda_tilde, dtype=float)))
         if not np.all(np.isfinite(self.lambda_tilde)):
             raise ValueError("lambda_tilde must be finite")
-        if self.k < 1:
-            raise ValueError("pivot k must be >= 1")
-
-    def ramp(self, n: int) -> np.ndarray:
-        """min(p/k, 1) for p = 1..n."""
-        return np.minimum(np.arange(1, n + 1) / self.k, 1.0)
 
 
 def tilt_path(ensemble: PathEnsemble, tilt: TiltSpec) -> PathEnsemble:
-    """Shifted ensemble S_p + lambda_tilde * min(p/k, 1); input unchanged."""
-    if tilt.k > ensemble.n:
-        raise ValueError(f"tilt pivot k={tilt.k} exceeds path length n={ensemble.n}")
-    shift = tilt.ramp(ensemble.n)[None, :, None] * tilt.lambda_tilde[None, None, :]
+    """Shifted ensemble S_p + lambda_tilde * p/n; input unchanged."""
+    n = ensemble.n
+    shift = (np.arange(1, n + 1) / n)[None, :, None] * tilt.lambda_tilde[None, None, :]
     return replace(ensemble, positions=ensemble.positions + shift)
 
 
 def tilt_log_weight(tilted: PathEnsemble, tilt: TiltSpec) -> np.ndarray:
-    """log dP/dQ at tilted paths: -lam . S_k + k |lam|^2 / 2, lam = lambda_tilde / k.
+    """log dP/dQ at tilted paths: -lam . S_n + n |lam|^2 / 2, lam = lambda_tilde / n.
 
     Multiplying a functional of the tilted paths by exp(this) recovers an
     unbiased estimate of its expectation under the base path law.
     """
-    lam = tilt.lambda_tilde / tilt.k
-    s_k = tilted.positions[:, tilt.k - 1, :]
-    return -s_k @ lam + 0.5 * tilt.k * float(lam @ lam)
+    n = tilted.n
+    lam = tilt.lambda_tilde / n
+    return -tilted.endpoints @ lam + 0.5 * n * float(lam @ lam)
 
 
 def running_max_norm(paths: PathEnsemble) -> np.ndarray:

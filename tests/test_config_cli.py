@@ -289,13 +289,19 @@ def test_a_dead_suite_worker_exits_two_with_one_line(tmp_path, capsys, monkeypat
     assert len(err) == 1 and err[0].startswith("polymerlab: error: "), err
 
 
+def _cli_env() -> dict:
+    """This environment, with the package's source directory on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent),
+                                                     env.get("PYTHONPATH")]))
+    return env
+
+
 def test_manifest_peak_rss_covers_the_suite_workers(tmp_path):
-    # run in a fresh interpreter, whose own peak stays below what the worker touches; it is
-    # started from a small launcher, since Linux carries the peak of the process that
-    # calls exec over to the program it starts
+    # run in a fresh interpreter, whose own peak stays below what the worker touches
     touched_mib = 120
     code = f"""
-import json, resource, sys
+import json, sys
 import numpy as np
 from polymerlab import cli
 
@@ -306,18 +312,27 @@ def touching(cfg):
 for name in cli.VERIFY_SUITES:
     cli._SUITE_RUNNERS[name] = touching if name == "lemma21" else (lambda cfg: [])
 code = cli.main(["verify", "all", "--threads", "2", "--out", sys.argv[1]])
-print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
+with open("/proc/self/status") as status:
+    own_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, own_kib / 1024.0]))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent),
-                                                     env.get("PYTHONPATH")]))
     out = tmp_path / "out"
-    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code, str(out)],
-                          env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code, str(out)], env=_cli_env(),
+                          capture_output=True, text=True, check=True)
     exit_code, own_peak = json.loads(done.stdout.splitlines()[-1])
     assert exit_code == 0 and own_peak < touched_mib
     assert json.loads((out / "manifest.json").read_text())["peak_rss_mib"] >= touched_mib
+
+
+def test_manifest_peak_rss_leaves_out_the_starting_program(tmp_path):
+    # Linux carries ru_maxrss over exec: a CLI started from this process, holding 200 MiB,
+    # would otherwise record this process's peak as its own
+    ballast = np.ones(200 * 2**20 // 8)     # every page written
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-m", "polymerlab.cli", "env-check", "--out", str(out)],
+                   env=_cli_env(), capture_output=True, check=True)
+    del ballast
+    assert json.loads((out / "manifest.json").read_text())["peak_rss_mib"] < 100
 
 
 def test_scans_on_the_exact_backend_run_capped_at_default_R_and_M(tmp_path):

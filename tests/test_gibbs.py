@@ -10,7 +10,7 @@ from polymerlab.cli import SPREADS_CSV_HEADER, _write_csv
 from polymerlab.environment import EnvironmentHandle, GridDomainError, suggested_halfwidth
 from polymerlab.gibbs import (GibbsEstimate, GibbsParams, ReplicaError, WeightDegeneracyWarning,
                               gibbs_expect, hamiltonian, log_partition, quenched_average,
-                              replica_hamiltonian)
+                              replica_over_n)
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
 from polymerlab.walk import PathEnsemble, TiltSpec, sample_paths, tilt_path
@@ -69,7 +69,7 @@ def _edge_ensemble(L: float) -> PathEnsemble:
 
 def _free_and_tilted(n: int) -> PathEnsemble:
     paths = sample_paths(21, 80, n, 1)
-    tilted = tilt_path(paths, TiltSpec(np.array([2.0]), n))
+    tilted = tilt_path(paths, TiltSpec(np.array([2.0])))
     return PathEnsemble(np.concatenate([paths.positions, tilted.positions]))
 
 
@@ -120,28 +120,31 @@ def test_grid_hamiltonian_domain_error_names_the_first_leaving_step_and_builds_n
     assert env._slices == {}
 
 
-def test_replica_hamiltonian_exact_backend_couples_a_doubled_ensemble():
+def test_exact_hamiltonian_couples_a_doubled_ensemble():
     paths = sample_paths(5, 30, 3, 2)
     doubled = PathEnsemble(np.concatenate([paths.positions, paths.positions]))
-    h = replica_hamiltonian(5, doubled, 0.5, KernelSpec(kind="product-exponential"),
-                            d=2, backend="exact")
+    h = hamiltonian(EnvironmentHandle(5, KernelSpec(kind="product-exponential"), d=2,
+                                      backend="exact"), doubled)
     assert np.array_equal(h[:30], h[30:])
 
 
-def test_replica_hamiltonian_grid_halves_match_separate_queries():
+def test_grid_hamiltonian_halves_match_separate_queries():
     a, b = sample_paths(6, 40, 4, 1), sample_paths(7, 40, 4, 1)
-    joint = replica_hamiltonian(6, PathEnsemble(np.concatenate([a.positions, b.positions])),
-                                0.5, UNIT, h=0.1, L=15.0)
+    joint = hamiltonian(EnvironmentHandle(6, UNIT, backend="grid", h=0.1, L=15.0),
+                        PathEnsemble(np.concatenate([a.positions, b.positions])))
     env = EnvironmentHandle(6, UNIT, backend="grid", h=0.1, L=15.0)
     assert np.array_equal(joint[:40], hamiltonian(env, a))
     assert np.array_equal(joint[40:], hamiltonian(env, b))
 
 
-def test_replica_hamiltonian_beta_zero_builds_no_field():
-    paths = sample_paths(8, 20, 9, 1)
-    assert np.array_equal(replica_hamiltonian(8, paths, 0.0, UNIT, L=0.5), np.zeros(20))
+def test_replica_over_n_checks_the_grid_domain_only_at_positive_beta():
+    def h_of(paths, hv, n):
+        return hv
+
+    assert np.array_equal(replica_over_n(8, [9], GibbsParams(beta=0.0, M=20), h_of, UNIT, L=0.5),
+                          np.zeros(20))
     with pytest.raises(GridDomainError):
-        replica_hamiltonian(8, paths, 0.5, UNIT, L=0.5)
+        replica_over_n(8, [9], GibbsParams(beta=0.5, M=20), h_of, UNIT, L=0.5)
 
 
 def test_log_partition_closed_forms():

@@ -11,10 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from polymerlab.environment import suggested_halfwidth
+from polymerlab.environment import EnvironmentHandle, suggested_halfwidth
 from polymerlab.exponent import FluctuationFit, ScanRow, fluctuation_fit, xi_scan
-from polymerlab.gibbs import (GibbsParams, gibbs_expect, quenched_average, replica_hamiltonian,
-                              replica_over_n)
+from polymerlab.gibbs import GibbsParams, gibbs_expect, hamiltonian, quenched_average, replica_over_n
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
 from polymerlab.verify import (ConcentrationRow, concentration_bound, concentration_scan,
@@ -25,9 +24,14 @@ from polymerlab.walk import PathEnsemble, TiltSpec, running_max_norm, sample_pat
 PRODUCT = KernelSpec(kind="product-exponential", lam=1.2)
 
 
+def field_hamiltonian(seed, paths, kernel, d=1, backend="grid", h=None, L=None):
+    """H of ``paths`` on the field realization ``seed``, all paths queried together."""
+    return hamiltonian(EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L), paths)
+
+
 def reference_cell_masses(seed, n, alphas, params, event, kernel, d, backend, h, L):
     paths = sample_paths(seed, params.M, n, d)
-    hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend, h=h, L=L)
+    hv = field_hamiltonian(seed, paths, kernel, d=d, backend=backend, h=h, L=L)
     if event == "endpoint":
         extent = np.abs(paths.endpoints).max(axis=1)
     else:
@@ -64,8 +68,7 @@ def reference_fluctuation_fit(n_grid, params, env_seeds, kernel=KernelSpec(), d=
         for n_idx, n in enumerate(n_values):
             L_eff = L if L is not None else suggested_halfwidth(n)
             paths = sample_paths(seed, params.M, n, d)
-            hv = replica_hamiltonian(seed, paths, params.beta, kernel, d=d, backend=backend,
-                                     h=h, L=L_eff)
+            hv = field_hamiltonian(seed, paths, kernel, d=d, backend=backend, h=h, L=L_eff)
             out[n_idx] = gibbs_expect(params.beta, hv, running_max_norm(paths)).value
         return out
 
@@ -101,7 +104,7 @@ def reference_concentration_scan(params, nu, n_grid, env_seeds, kernel=KernelSpe
 
         def one(seed, n=n, L_eff=L_eff):
             paths = sample_paths(seed, params.M, n, 1)
-            hv = replica_hamiltonian(seed, paths, params.beta, kernel, h=h, L=L_eff)
+            hv = field_hamiltonian(seed, paths, kernel, h=h, L=L_eff)
             return float(_logsumexp(params.beta * hv) - math.log(params.M))
 
         qa = quenched_average(seeds, one, threads=threads)
@@ -124,7 +127,7 @@ def reference_girsanov_identity_test(n, lam, params, env_seeds, kernel=KernelSpe
     def one(seed):
         paths = sample_paths(seed, params.M, n, 1)
         log_m = lam * paths.endpoints[:, 0] - 0.5 * n * lam**2
-        hv = replica_hamiltonian(seed, paths, beta, kernel, h=h, L=L_eff)
+        hv = field_hamiltonian(seed, paths, kernel, h=h, L=L_eff)
         return float(_logsumexp(beta * hv + log_m) - _logsumexp(beta * hv))
 
     qa = quenched_average(env_seeds, one, threads=threads)
@@ -143,7 +146,7 @@ def test_replica_over_n_joins_reducer_values_in_n_order():
     out = replica_over_n(3, [4, 9], params, reduce, KernelSpec())
     assert seen == [(4, (30, 4, 1), (30,)), (9, (30, 9, 1), (30,))]
     paths = sample_paths(3, 30, 4, 1)
-    hv = replica_hamiltonian(3, paths, 0.5, KernelSpec(), L=suggested_halfwidth(4))
+    hv = field_hamiltonian(3, paths, KernelSpec(), L=suggested_halfwidth(4))
     assert out.tolist() == [4.0, float(hv.sum()), 9.0]
 
 
@@ -203,7 +206,7 @@ def reference_tilted_replica(seed, n, params, tilts, kernel, d, backend, L):
     paths = sample_paths(seed, params.M, n, d)
     every = PathEnsemble(np.concatenate([paths.positions, *(tilt_path(paths, t).positions
                                                             for t in tilts)]))
-    return every, replica_hamiltonian(seed, every, params.beta, kernel, d=d, backend=backend, L=L)
+    return every, field_hamiltonian(seed, every, kernel, d=d, backend=backend, L=L)
 
 
 @pytest.mark.parametrize("d, backend, kernel", [(1, "grid", KernelSpec(lam=0.9)), (2, "exact", PRODUCT)])
@@ -211,7 +214,7 @@ def test_tilted_replica_equals_the_per_tilt_reference(d, backend, kernel):
     params = GibbsParams(beta=0.6, M=20)
 
     def tilts(n):
-        return [TiltSpec(np.full(d, 0.5 * n), k=n), TiltSpec(np.full(d, -float(n) ** 0.75), k=n - 1)]
+        return [TiltSpec(np.full(d, 0.5 * n)), TiltSpec(np.full(d, -float(n) ** 0.75))]
 
     seen = {}
 
@@ -236,5 +239,5 @@ def test_tilted_replica_builds_no_field_at_beta_zero(monkeypatch):
     monkeypatch.setattr(gibbs, "EnvironmentHandle", no_field)
     params = GibbsParams(beta=0.0, M=15)
     out = replica_over_n(2, [3, 5], params, lambda paths, hv, n: [paths.M, float(np.abs(hv).sum())],
-                         KernelSpec(), tilts=lambda n: [TiltSpec(np.array([1.0]), k=n)] * 2)
+                         KernelSpec(), tilts=lambda n: [TiltSpec(np.array([1.0]))] * 2)
     assert out.tolist() == [45.0, 0.0, 45.0, 0.0]

@@ -11,7 +11,7 @@ from polymerlab.environment import (_DOMAIN_PROBE_INNER, EnvironmentHandle, sugg
                                     tagged_stream)
 from polymerlab import gibbs
 from polymerlab.cli import main
-from polymerlab.gibbs import GibbsParams, ReplicaError, hamiltonian, quenched_average, replica_hamiltonian
+from polymerlab.gibbs import GibbsParams, ReplicaError, hamiltonian, quenched_average
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
 from polymerlab.verify import (BoundConstants, ExpoIneqCase, _conditional_log_w, _draw_batches,
@@ -197,7 +197,7 @@ def test_mean_control_small_run_passes():
 
 
 def test_tilted_log_mass_smoothing_on_zero_hits():
-    never = ("never", 0.0, TiltSpec(np.array([1.0]), 4), lambda t: np.zeros(t.M, dtype=bool))
+    never = ("never", 0.0, TiltSpec(np.array([1.0])), lambda t: np.zeros(t.M, dtype=bool))
     rep, = _tilted_report([4], lambda n: [never], GibbsParams(beta=0.0, M=50), range(2), 1,
                           kernel=UNIT, L=20.0)
     assert rep.notes == "smoothed_replicas=2"
@@ -216,8 +216,8 @@ def reference_tilted_log_mass(seed, kernel, n, M, beta, tilt, event_fn, d=1, bac
     log_w = tilt_log_weight(tilted, tilt)
     hits = np.asarray(event_fn(tilted), dtype=bool)
     both = PathEnsemble(np.concatenate([paths.positions, tilted.positions]))
-    h0, h1 = np.split(replica_hamiltonian(seed, both, beta, kernel, d=d, backend=backend,
-                                          h=h, L=L), 2)
+    h0, h1 = np.split(hamiltonian(EnvironmentHandle(seed, kernel, d=d, backend=backend, h=h, L=L),
+                                  both), 2)
     if not hits.any():
         return -math.log(M + 1.0), True
     value = _logsumexp(beta * h1[hits] + log_w[hits]) - _logsumexp(beta * h0)
@@ -243,7 +243,7 @@ def test_mean_control_rows_equal_single_tilt_calls_on_the_shared_grid(L):
             want.append(reference_tilted_report(
                 f"mean_control(n={n},alpha={alpha:g},beta=0.5)", -0.5 * float(n) ** (2 * alpha - 1),
                 seeds, kernel=UNIT, n=n, M=params.M, beta=params.beta,
-                tilt=TiltSpec(np.array([a]), n), event_fn=lambda t, a=a: t.endpoints[:, 0] >= a,
+                tilt=TiltSpec(np.array([a])), event_fn=lambda t, a=a: t.endpoints[:, 0] >= a,
                 L=L if L is not None else suggested_halfwidth(n, drift=float(n) ** 0.8)))
     assert got == want
 
@@ -256,33 +256,54 @@ def test_d1_ball_rows_equal_single_tilt_calls_on_the_shared_grid(L):
     want = [reference_tilted_report(
         f"ball_bound(n=9,k=9,j=({j},),alpha=0.75,beta=0.5)", -0.5 * 3.0 * (j - 1) ** 2, seeds,
         kernel=UNIT, n=n, M=params.M, beta=params.beta,
-        tilt=TiltSpec(np.array([(j - 1) * radius]), n),
+        tilt=TiltSpec(np.array([(j - 1) * radius])),
         event_fn=lambda t, j=j: np.abs(t.positions[:, n - 1, :] - j * radius).max(axis=1) <= radius,
         L=L if L is not None else suggested_halfwidth(n, drift=3 * radius))
         for j in (2, 4)]
     assert got == want
 
 
-def test_d2_exact_ball_takes_one_j_per_field():
+def test_d2_exact_ball_couples_every_j_on_one_field(monkeypatch):
+    # [free, tilt_1, tilt_2] is one exact ensemble per (replica, n), as on the grid
     kernel = KernelSpec(kind="product-exponential")
     n, params, seeds = 4, GibbsParams(beta=0.4, M=40), range(3)
     radius = 4.0 ** 0.75
-    js = [(2, 2), (-2, 2)]
+    js = [np.array(j) for j in ((2, 2), (-2, 2))]
+    tilts = [TiltSpec((j - np.sign(j)) * radius) for j in js]
+    queried = []
+
+    class RecordingHandle(EnvironmentHandle):
+        def sample_slice_at(self, k, positions):
+            queried.append(len(positions))
+            return super().sample_slice_at(k, positions)
+
+    monkeypatch.setattr(gibbs, "EnvironmentHandle", RecordingHandle)
     got = ball_bound_test(0.75, [n], js, params, seeds, kernel=kernel)
-    want = []
-    for j in js:
-        j = np.array(j)
-        want.append(reference_tilted_report(
-            f"ball_bound(n=4,k=4,j={tuple(int(x) for x in j)},alpha=0.75,beta=0.4)",
-            -0.5 * 2.0 * 2.0, seeds, kernel=kernel, n=n, M=params.M, beta=params.beta,
-            tilt=TiltSpec((j - np.sign(j)) * radius, n),
-            event_fn=lambda t, c=j * radius: np.abs(t.positions[:, n - 1, :] - c).max(axis=1) <= radius,
-            d=2, backend="exact"))
-    assert got == want
+    assert queried == [3 * params.M] * (n * len(seeds))
+
+    def log_masses(seed):
+        paths = sample_paths(seed, params.M, n, 2)
+        tilted = [tilt_path(paths, tilt) for tilt in tilts]
+        h0, *hs = np.split(hamiltonian(EnvironmentHandle(seed, kernel, d=2, backend="exact"),
+                                       PathEnsemble(np.concatenate(
+                                           [paths.positions, *(t.positions for t in tilted)]))), 3)
+        out = []
+        for j, tilt, t, h1 in zip(js, tilts, tilted, hs):
+            hits = np.abs(t.endpoints - j * radius).max(axis=1) <= radius
+            assert hits.any()
+            log_w = tilt_log_weight(t, tilt)
+            out.append(float(_logsumexp(params.beta * h1[hits] + log_w[hits])
+                             - _logsumexp(params.beta * h0)))
+        return out
+
+    qa = quenched_average(seeds, log_masses)
+    assert got == [make_report(f"ball_bound(n=4,k=4,j={tuple(int(x) for x in j)},alpha=0.75,beta=0.4)",
+                               qa.mean[i], qa.stderr[i], upper=-0.5 * 2.0 * 2.0)
+                   for i, j in enumerate(js)]
 
 
 def test_tilted_log_mass_pairs_equal_single_tilt_calls():
-    tilts = [TiltSpec(np.array([a]), 4) for a in (0.0, 2.0, 3.0)]
+    tilts = [TiltSpec(np.array([a])) for a in (0.0, 2.0, 3.0)]
     events = [lambda t: t.endpoints[:, 0] >= 0.0, lambda t: t.endpoints[:, 0] >= 2.0,
               lambda t: np.zeros(t.M, dtype=bool)]
     cases = [(f"tilt{i}", 0.0, t, e) for i, (t, e) in enumerate(zip(tilts, events))]
