@@ -14,7 +14,11 @@ Two backends:
     of their covariance plus a tiny diagonal jitter, and the slice's
     stream.  Only the lower triangle of the covariance is built, in row
     blocks of ``_COV_BLOCK`` points, since the factor reads no other
-    entry.  Only the points and values are kept; a later query may ask
+    entry.  Drawing a slice of m points holds three m × m float arrays at
+    once: that covariance, ``np.linalg.cholesky``'s work copy of it and the
+    factor; all three are freed when the slice is drawn, and the CLI's heap
+    policy keeps their memory for the next slice instead of faulting it in
+    again.  Only the points and values are kept; a later query may ask
     only for points already drawn, and any other point raises
     ``ValueError``.  Exact in law for arbitrary positions; the cost is cubic
     in the number of distinct points, so it suits small query sets.

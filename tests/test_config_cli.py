@@ -1,4 +1,5 @@
 import csv
+import importlib.metadata
 import json
 import multiprocessing
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -335,6 +337,61 @@ def test_manifest_peak_rss_leaves_out_the_starting_program(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["peak_rss_mib"] < 100
 
 
+def _libc_version():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except ValueError:      # an unknown name off glibc
+        return None
+
+
+@pytest.mark.skipif(not (_libc_version() or "").startswith("glibc"), reason="a glibc heap policy")
+def test_exact_backend_slices_reuse_the_freed_heap(tmp_path):
+    # in a fresh interpreter, since the heap of this one depends on the tests run before;
+    # at glibc's default thresholds each slice's m x m buffers are faulted in afresh,
+    # about 100k faults here, and the caller's ballast (25.6k faults) stays out of the count
+    code = """
+import sys
+import numpy as np
+from polymerlab import cli
+ballast = np.ones(100 * 2**20 // 8)     # every page written before the command starts
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-c", code, "verify", "ball", "--config",
+                    write_config(tmp_path, **D2_EXACT, R=2, M=1000), "--out", str(out)],
+                   env=_cli_env(), capture_output=True, check=True)
+    assert json.loads((out / "manifest.json").read_text())["minor_faults"] < 20_000
+
+
+@pytest.mark.parametrize("confstr", [None, "musl 1.2.4", ValueError("unrecognized configuration name")])
+def test_heap_policy_is_set_on_glibc_alone(monkeypatch, confstr):
+    import ctypes
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def loading(name):
+        calls.append(name)
+        return SimpleNamespace(mallopt=mallopt)
+
+    def answering(name):
+        assert name == "CS_GNU_LIBC_VERSION"
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", loading)
+    monkeypatch.setattr(os, "confstr", answering)
+    answer = confstr
+    cli._keep_freed_heap()
+    assert calls == []
+    answer = "glibc 2.36"
+    cli._keep_freed_heap()
+    assert calls == [None, (-3, 32 << 20), (-1, 64 << 20)]
+
+
 def test_scans_on_the_exact_backend_run_capped_at_default_R_and_M(tmp_path):
     cfg = write_config(tmp_path, **D2_EXACT, R=DEFAULT_CONFIG["R"], M=DEFAULT_CONFIG["M"],
                        n_grid=[1, 2, 3, 4])
@@ -624,4 +681,26 @@ def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
     assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
     assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
     assert "OMP_NUM_THREADS" in env
+    # scipy is a test dependency, so it is installed here; the CLI reads its version only
+    assert env["scipy"] == importlib.metadata.version("scipy")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas.get('version', '')}".strip()
+    assert env["libc"] == _libc_version()
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     assert "numeric_environment" not in manifest["summary"]
+
+
+def test_manifest_records_null_for_an_unknown_scipy_blas_and_libc(tmp_path, monkeypatch):
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    monkeypatch.setattr(np, "show_config", lambda mode: {})
+    monkeypatch.setattr(os, "confstr", unknown)
+    out = tmp_path / "out"
+    assert main(["env-check", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["numeric_environment"]
+    assert (env["scipy"], env["blas"], env["libc"]) == (None, None, None)

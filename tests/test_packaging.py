@@ -31,10 +31,13 @@ def test_requires_the_numpy_whose_irfft_takes_out():
     assert "numpy>=2.0" in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
 
 
-def _modules_loaded_by_importing_the_cli() -> list[str]:
+def _modules_loaded_by_importing_the_cli(withheld=()) -> list[str]:
+    """Modules a fresh interpreter holds after ``import polymerlab.cli``, with ``withheld`` unimportable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import json, sys, polymerlab.cli; print(json.dumps(sorted(sys.modules)))"
+    code = (f"import json, sys; sys.modules.update(dict.fromkeys({list(withheld)!r})); "
+            "import polymerlab.cli; "
+            "print(json.dumps(sorted(m for m, module in sys.modules.items() if module)))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     return json.loads(done.stdout)
@@ -51,6 +54,14 @@ def test_importing_the_cli_loads_no_process_pool():
     loaded = _modules_loaded_by_importing_the_cli()
     assert [m for m in loaded if m.partition(".")[0] == "multiprocessing"
             or m == "concurrent.futures.process"] == []
+
+
+def test_importing_the_cli_loads_no_ctypes():
+    # numpy loads ctypes only where it can, so with ctypes withheld the CLI must
+    # still import: the heap policy imports ctypes when main runs, not before
+    loaded = _modules_loaded_by_importing_the_cli(withheld=("ctypes",))
+    assert "polymerlab.cli" in loaded
+    assert [m for m in loaded if m.partition(".")[0] == "ctypes"] == []
 
 
 def _runtime_dependencies():
