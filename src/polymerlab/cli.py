@@ -21,10 +21,13 @@ Subcommands
     d > 1 the ball keeps N threads for its exact-backend replicas, whose
     LAPACK calls release the GIL.  A suite run alone, or every suite at
     ``--threads 1``, runs in this process; a suite run alone gives its
-    replicas the N threads.  Each suite's warnings come back from its
-    worker and are counted in suite order; the files are written in suite
-    order once every suite has returned, so a failed suite leaves none,
-    and the manifest's suite timings overlap.
+    replicas the N threads.  The workers take the suites longest first
+    (``SUITES_LONGEST_FIRST``), so the increment probe does not run alone
+    at the end; everything else follows suite order.  Each suite's
+    warnings come back from its worker and are counted in suite order, the
+    files are written in suite order once every suite has returned, so a
+    failed suite leaves none, and the failure reported is the first in
+    suite order.  The manifest's suite timings overlap.
 ``xi-scan`` / ``fluct-fit``
     Containment-mass tables and the spread-slope fit.
 
@@ -248,7 +251,11 @@ _SUITE_RUNNERS = {
     "concentration": _suite_concentration,
     "increment": _suite_increment,
 }
-VERIFY_SUITES = tuple(_SUITE_RUNNERS)     # in the order `verify all` runs them
+VERIFY_SUITES = tuple(_SUITE_RUNNERS)     # in the order `verify all` reports them
+# the order worker processes take them in: longest first (Graham's LPT rule), so the last
+# suite to start is a short one; increment and meancontrol lead at the default config
+SUITES_LONGEST_FIRST = ("increment", "meancontrol", "lemma21", "ball", "concentration", "lemma22",
+                        "girsanov")
 
 
 def _run_suite(name: str, cfg: RunConfig) -> tuple[list[BoundCheckReport], float, list]:
@@ -300,13 +307,17 @@ def _blas() -> str | None:
 
 
 def _scipy() -> str | None:
-    """scipy's installed version, read without importing it, or None."""
-    import importlib.metadata       # here, so importing the CLI does not load it
+    """scipy's version, named by the first ``scipy-<version>.dist-info`` on ``sys.path``, or None.
 
-    try:
-        return importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        return None
+    Neither scipy nor ``importlib.metadata``, which loads ``email`` and ``zipfile``, is imported.
+    """
+    for entry in sys.path:
+        with suppress(OSError):         # a missing directory or a zip archive
+            found = sorted(n for n in os.listdir(entry or ".")
+                           if n.startswith("scipy-") and n.endswith(".dist-info"))
+            if found:
+                return found[0].removeprefix("scipy-").removesuffix(".dist-info")
+    return None
 
 
 def _peak_rss_mib() -> float:
@@ -425,7 +436,12 @@ def cmd_verify(cfg: RunConfig, frame: _Frame, suite: str) -> int:
 
         with ProcessPoolExecutor(min(cfg.threads, len(names)),
                                  multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_run_suite, names, [suite_cfg] * len(names)))
+            futures = {name: pool.submit(_run_suite, name, suite_cfg)
+                       for name in sorted(names, key=SUITES_LONGEST_FIRST.index)}
+            try:        # in suite order, so the first failure raised is the first suite's
+                results = [futures[name].result() for name in names]
+            finally:    # every earlier suite has returned: the rest need not run
+                pool.shutdown(cancel_futures=True)
     else:
         results = [_run_suite(name, suite_cfg) for name in names]
 

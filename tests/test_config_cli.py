@@ -281,6 +281,60 @@ def test_verify_suites_run_side_by_side(tmp_path, monkeypatch):
     assert manifest["warnings"] == {"WeightDegeneracyWarning": 2}
 
 
+def test_suite_workers_take_the_longest_suites_first(tmp_path, monkeypatch):
+    # each suite puts its name when it starts; the first two wait for each other, so no
+    # third suite can start before both have
+    assert sorted(cli.SUITES_LONGEST_FIRST) == sorted(cli.VERIFY_SUITES)
+    fork = multiprocessing.get_context("fork")
+    queue, barrier = fork.SimpleQueue(), fork.Barrier(2, timeout=20)
+    first_two = cli.SUITES_LONGEST_FIRST[:2]
+
+    def runner(name):
+        def run(cfg):
+            queue.put(name)
+            if name in first_two:
+                barrier.wait()
+            warnings.warn(name, WeightDegeneracyWarning)    # sent back from the worker process
+            return [make_report(name, 0.0, 0.0)]
+        return run
+
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli._SUITE_RUNNERS, name, runner(name))
+    replayed = []
+    warn_explicit = warnings.warn_explicit
+
+    def recording(message, *args):
+        replayed.append(str(message))
+        warn_explicit(message, *args)
+
+    monkeypatch.setattr(warnings, "warn_explicit", recording)
+    out = tmp_path / "out"
+    assert main(["verify", "all", "--config", write_config(tmp_path, R=200), "--out", str(out),
+                 "--threads", "2"]) == 0
+    started = [queue.get() for _ in cli.VERIFY_SUITES]
+    assert sorted(started[:2]) == sorted(first_two)
+    # files and warnings still follow the suite order
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [f"verify_{name}.csv" for name in cli.VERIFY_SUITES] + [
+        "verify_summary.json"]
+    assert replayed == list(cli.VERIFY_SUITES)
+    assert manifest["warnings"] == {"WeightDegeneracyWarning": len(cli.VERIFY_SUITES)}
+
+
+def test_a_failing_verify_all_reports_the_same_line_at_any_thread_count(tmp_path, capsys):
+    # girsanov, the first suite to fail, fails before the increment probe, which fails too
+    # and is taken first by the workers
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps({"backend": {"L": 1.0}, "R": 200, "M": 20, "n_grid": [4, 9]}))
+    errs = []
+    for threads in ("1", "2"):
+        assert main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 3
+        errs.append(capsys.readouterr().err.splitlines())
+    assert len(errs[0]) == 1 and errs[0] == errs[1], errs
+    assert errs[0][0].startswith("polymerlab: numerical error: environment replica 0 ")
+
+
 def test_a_dead_suite_worker_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
     # a worker killed by the out-of-memory killer breaks the pool the same way
     monkeypatch.setitem(cli._SUITE_RUNNERS, "girsanov", lambda cfg: os._exit(1))
@@ -690,14 +744,24 @@ def test_manifest_records_the_numeric_environment(tmp_path, monkeypatch):
     assert "numeric_environment" not in manifest["summary"]
 
 
-def test_manifest_records_null_for_an_unknown_scipy_blas_and_libc(tmp_path, monkeypatch):
-    def missing(name):
-        raise importlib.metadata.PackageNotFoundError(name)
+def _without_scipy(path: list[str]) -> list[str]:
+    return [entry for entry in path if not list(Path(entry or ".").glob("scipy-*.dist-info"))]
 
+
+def test_scipy_version_is_read_from_the_first_dist_info_on_the_path(tmp_path, monkeypatch):
+    (tmp_path / "scipy-9.8.7.dist-info").mkdir()
+    (tmp_path / "scipy_openblas32-0.3.dist-info").mkdir()     # another distribution
+    monkeypatch.setattr(sys, "path", [str(tmp_path / "absent"), str(tmp_path), *sys.path])
+    assert cli._scipy() == "9.8.7"
+    monkeypatch.setattr(sys, "path", _without_scipy(sys.path))
+    assert cli._scipy() is None
+
+
+def test_manifest_records_null_for_an_unknown_scipy_blas_and_libc(tmp_path, monkeypatch):
     def unknown(name):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
-    monkeypatch.setattr(importlib.metadata, "version", missing)
+    monkeypatch.setattr(sys, "path", _without_scipy(sys.path))
     monkeypatch.setattr(np, "show_config", lambda mode: {})
     monkeypatch.setattr(os, "confstr", unknown)
     out = tmp_path / "out"

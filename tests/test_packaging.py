@@ -31,16 +31,27 @@ def test_requires_the_numpy_whose_irfft_takes_out():
     assert "numpy>=2.0" in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
 
 
-def _modules_loaded_by_importing_the_cli(withheld=()) -> list[str]:
-    """Modules a fresh interpreter holds after ``import polymerlab.cli``, with ``withheld`` unimportable."""
+def _modules_loaded_after(code: str) -> list[str]:
+    """Modules a fresh interpreter holds after running ``code`` (``json`` and ``sys`` imported)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = (f"import json, sys; sys.modules.update(dict.fromkeys({list(withheld)!r})); "
-            "import polymerlab.cli; "
-            "print(json.dumps(sorted(m for m, module in sys.modules.items() if module)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    return json.loads(done.stdout)
+    code += "\nprint(json.dumps(sorted(m for m, module in sys.modules.items() if module)))"
+    done = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _modules_loaded_by_importing_the_cli(withheld=()) -> list[str]:
+    """Modules a fresh interpreter holds after ``import polymerlab.cli``, with ``withheld`` unimportable."""
+    return _modules_loaded_after(f"sys.modules.update(dict.fromkeys({list(withheld)!r}))\n"
+                                 "import polymerlab.cli")
+
+
+def _modules_loaded_by_running_the_cli(argv) -> list[str]:
+    """Modules a fresh interpreter holds after ``polymerlab.cli.main(argv)`` has returned 0."""
+    return _modules_loaded_after("import polymerlab.cli\n"
+                                 f"if polymerlab.cli.main({list(argv)!r}):\n"
+                                 "    sys.exit('the command failed')")
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -62,6 +73,15 @@ def test_importing_the_cli_loads_no_ctypes():
     loaded = _modules_loaded_by_importing_the_cli(withheld=("ctypes",))
     assert "polymerlab.cli" in loaded
     assert [m for m in loaded if m.partition(".")[0] == "ctypes"] == []
+
+
+def test_writing_a_manifest_loads_no_importlib_metadata(tmp_path):
+    # scipy's version comes from a sys.path scan; importlib.metadata would load email and zipfile
+    out = tmp_path / "out"
+    loaded = _modules_loaded_by_running_the_cli(["env-check", "--out", str(out)])
+    assert json.loads((out / "manifest.json").read_text())["numeric_environment"]["scipy"]
+    assert [m for m in loaded if m.startswith("importlib.metadata")
+            or m.partition(".")[0] == "email"] == []
 
 
 def _runtime_dependencies():
