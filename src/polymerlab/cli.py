@@ -8,7 +8,8 @@ Subcommands
 ``verify <suite>``
     One of lemma21, lemma22, girsanov, meancontrol, ball, concentration,
     increment, or all.  Each suite writes a CSV of bound-check rows plus a
-    shared summary JSON.  girsanov, meancontrol, concentration and
+    shared summary JSON; concentration writes one tail row per n of
+    ``n_grid``.  girsanov, meancontrol, concentration and
     increment run in d = 1 only, and they and the d = 1 ball run on the
     grid whatever ``backend.kind`` says; at d > 1, ``all`` runs lemma21,
     lemma22 and ball.  Each suite makes one fan-out over the environment
@@ -98,7 +99,7 @@ from .environment import (CovarianceConditioningError, EnvironmentHandle, GridDo
 from .exponent import fluctuation_fit, xi_scan
 from .gibbs import GibbsParams, ReplicaError
 from .verify import (CONCENTRATION_MIN_R, MEAN_CONTROL_MIN_ALPHA, BoundCheckReport,
-                     ball_bound_test, check_expo_ineq, check_log_moment_bounds, concentration_scan,
+                     ball_bound_test, check_expo_ineq, check_log_moment_bounds, concentration_test,
                      girsanov_identity_test, make_report, martingale_increment_probe,
                      mean_control_test, random_expo_cases)
 
@@ -220,20 +221,9 @@ def _suite_ball(cfg: RunConfig) -> list[BoundCheckReport]:
 
 
 def _suite_concentration(cfg: RunConfig) -> list[BoundCheckReport]:
-    params = GibbsParams(beta=cfg.beta, M=cfg.M)
-    rows = concentration_scan(params, cfg.nu, cfg.n_grid, cfg.env_seeds(),
-                              kernel=cfg.kernel, h=cfg.h, L=cfg.L, threads=cfg.threads)
-    reports = []
-    for prev, cur in zip(rows, rows[1:]):
-        reports.append(make_report(
-            f"concentration_trend(n={prev.n}->{cur.n},nu={cfg.nu:g})",
-            cur.std_over_n_nu - prev.std_over_n_nu, 0.0, upper=0.0))
-    for row in rows:
-        if row.paper_bound < 1.0 - 4.0 * row.exceedance_stderr:
-            reports.append(make_report(
-                f"concentration_tail(n={row.n},nu={cfg.nu:g})",
-                row.exceedance_freq, row.exceedance_stderr, upper=row.paper_bound))
-    return reports
+    return concentration_test(cfg.nu, cfg.n_grid, GibbsParams(beta=cfg.beta, M=cfg.M),
+                              cfg.env_seeds(), kernel=cfg.kernel, h=cfg.h, L=cfg.L,
+                              threads=cfg.threads)
 
 
 def _suite_increment(cfg: RunConfig) -> list[BoundCheckReport]:

@@ -271,6 +271,7 @@ class EnvironmentHandle:
         Complex or wrongly shaped normals raise ``ValueError``; ``z`` is
         not modified.
         """
+        self._grid_only("synthesize")
         z = np.asarray(z)
         if np.iscomplexobj(z) or z.ndim == 0 or z.shape[-1] != self.n_circ:
             raise ValueError(f"synthesize takes real standard normals of shape "
@@ -287,8 +288,7 @@ class EnvironmentHandle:
 
     def build_grid_slice(self, k: int) -> np.ndarray:
         """Synthesize (or fetch) the field on the grid for slice k."""
-        if self.backend != "grid":
-            raise ValueError("build_grid_slice requires the grid backend")
+        self._grid_only("build_grid_slice")
         self._check_slice(k)
         got = self._slices.get(k)
         if got is not None:
@@ -312,6 +312,7 @@ class EnvironmentHandle:
         otherwise :class:`GridDomainError` is raised, never a clamp to the
         boundary node.  :func:`suggested_halfwidth` gives a covering L.
         """
+        self._grid_only("snap")
         return self._nodes(_as_points(positions, d=1)[:, 0])
 
     def snap_paths(self, positions) -> np.ndarray:
@@ -322,6 +323,7 @@ class EnvironmentHandle:
         position of the first step that leaves [-L, L], as :meth:`snap` of
         each step in turn would.
         """
+        self._grid_only("snap_paths")
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 3 or positions.shape[2] != 1:
             raise ValueError(f"positions must have shape (M, n, 1), got {positions.shape}")
@@ -369,6 +371,10 @@ class EnvironmentHandle:
         return values[np.searchsorted(keep, first)]
 
     # -- common ----------------------------------------------------------
+
+    def _grid_only(self, method: str) -> None:
+        if self.backend != "grid":
+            raise ValueError(f"{method} requires the grid backend")
 
     def _check_slice(self, k: int) -> None:
         if not isinstance(k, (int, np.integer)) or k < 1:

@@ -10,7 +10,7 @@ computed in log space.  Standard errors use the normalized-weight delta
 method; the effective sample size 1 / sum(normalized weights^2) is
 reported and a degeneracy warning is emitted when it falls below 1% of
 the ensemble size or below 2.  :func:`log_partition` is the importance-
-sampling estimate of log Z_n that ``verify.concentration_scan`` uses.
+sampling estimate of log Z_n that ``verify.concentration_test`` uses.
 :func:`quenched_average` takes every environment average: a replica mean
 with a cross-replica standard error.
 

@@ -335,6 +335,51 @@ def test_a_failing_verify_all_reports_the_same_line_at_any_thread_count(tmp_path
     assert errs[0][0].startswith("polymerlab: numerical error: environment replica 0 ")
 
 
+def _verify_runs(tmp_path, command, doc, threads=("1",)) -> list[tuple[int, dict[str, bytes]]]:
+    """(exit code, bytes of each data file) of ``verify <command>`` at config ``doc``, per thread count."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    runs = []
+    for t in threads:
+        out = tmp_path / f"{command}-t{t}"
+        code = main(["verify", command, "--config", str(cfg), "--out", str(out), "--threads", t])
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        runs.append((code, {name: (out / name).read_bytes() for name in outputs}))
+    return runs
+
+
+def test_verify_all_at_a_large_beta_writes_every_file(tmp_path, capsys):
+    # at beta = 2 the increment constant K overflows a float: its bound is vacuous, not a crash
+    runs = _verify_runs(tmp_path, "all", {"beta": 2.0, "M": 50, "R": 200, "n_grid": [4, 9]},
+                        threads=("1", "2"))
+    assert capsys.readouterr().err == ""
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+    assert list(runs[0][1]) == [f"verify_{s}.csv" for s in cli.VERIFY_SUITES] + ["verify_summary.json"]
+    rows = list(csv.DictReader(runs[0][1]["verify_increment.csv"].decode().splitlines()))
+    assert all(r["upper_bound"] == "inf" and r["pass"] == "true"
+               for r in rows if r["name"].startswith("increment_probe"))
+
+
+def test_verify_concentration_at_a_huge_nu_exits_zero(tmp_path, capsys):
+    # 9**400 overflows a float: no deviation reaches it, and the tail bound is 0
+    [(code, data)] = _verify_runs(tmp_path, "concentration",
+                                  {"nu": 400.0, "R": 200, "M": 20, "n_grid": [4, 9]})
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = list(csv.DictReader(data["verify_concentration.csv"].decode().splitlines()))
+    assert [(r["name"], r["estimate"], r["upper_bound"]) for r in rows] == [
+        ("concentration_tail(n=4,nu=400)", "0.0", "0.0"), ("concentration_tail(n=9,nu=400)", "0.0", "0.0")]
+
+
+def test_no_verify_row_ignores_its_noise(tmp_path):
+    # a row with stderr 0 has margin +inf or -inf whatever the noise
+    [(_, data)] = _verify_runs(tmp_path, "all", {"beta": 0.5, "M": 20, "R": 200, "n_grid": [4, 9]},
+                               threads=("2",))
+    rows = [(name, r["name"], float(r["stderr"])) for name, content in data.items()
+            if name.endswith(".csv") for r in csv.DictReader(content.decode().splitlines())]
+    assert len(rows) > 60 and all(stderr > 0 for _, _, stderr in rows), \
+        [row for row in rows if not row[2] > 0]
+
+
 def test_a_dead_suite_worker_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
     # a worker killed by the out-of-memory killer breaks the pool the same way
     monkeypatch.setitem(cli._SUITE_RUNNERS, "girsanov", lambda cfg: os._exit(1))

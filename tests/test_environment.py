@@ -489,7 +489,13 @@ def test_signed_zero_is_one_exact_point():
     (lambda: EnvironmentHandle(0, UNIT, backend="grid", h=0.0, L=2.0), "spacing h"),
     (lambda: EnvironmentHandle(0, UNIT, backend="grid", h=-0.1, L=2.0), "spacing h"),
     (lambda: EnvironmentHandle(0, UNIT, backend="grid", L=-1.0), "half-width L"),
-    (lambda: EnvironmentHandle(0, UNIT, backend="exact").build_grid_slice(1), "grid backend"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="exact").build_grid_slice(1),
+     "build_grid_slice requires the grid backend"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="exact").snap([0.0]), "snap requires the grid backend"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="exact").snap_paths(np.zeros((4, 3, 1))),
+     "snap_paths requires the grid backend"),
+    (lambda: EnvironmentHandle(0, UNIT, backend="exact").synthesize(np.zeros((2, 8))),
+     "synthesize requires the grid backend"),
     (lambda: EnvironmentHandle(0, PRODUCT, d=2, backend="exact").sample_slice_at(1, [[0.0, 0.0, 0.0]]),
      "dimension 3"),
     (lambda: EnvironmentHandle(0, UNIT, backend="grid", L=2.0).snap_paths(np.zeros((4, 3, 2))),

@@ -16,8 +16,8 @@ from polymerlab.exponent import FluctuationFit, ScanRow, fluctuation_fit, xi_sca
 from polymerlab.gibbs import GibbsParams, gibbs_expect, hamiltonian, quenched_average, replica_over_n
 from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
-from polymerlab.verify import (ConcentrationRow, concentration_bound, concentration_scan,
-                               girsanov_identity_test, make_report)
+from polymerlab.verify import (concentration_bound, concentration_test, girsanov_identity_test,
+                               make_report)
 from polymerlab import gibbs
 from polymerlab.walk import PathEnsemble, TiltSpec, running_max_norm, sample_paths, tilt_path
 
@@ -95,10 +95,10 @@ def reference_fluctuation_fit(n_grid, params, env_seeds, kernel=KernelSpec(), d=
         reference_band=(0.6, 0.75) if d == 1 else None)
 
 
-def reference_concentration_scan(params, nu, n_grid, env_seeds, kernel=KernelSpec(), h=None,
+def reference_concentration_scan(nu, n_grid, params, env_seeds, kernel=KernelSpec(), h=None,
                                  L=None, threads=1):
     seeds = list(env_seeds)
-    rows = []
+    reports = []
     for n in n_grid:
         L_eff = L if L is not None else suggested_halfwidth(n)
 
@@ -108,15 +108,11 @@ def reference_concentration_scan(params, nu, n_grid, env_seeds, kernel=KernelSpe
             return float(_logsumexp(params.beta * hv) - math.log(params.M))
 
         qa = quenched_average(seeds, one, threads=threads)
-        std = float(qa.values.std(ddof=1))
-        thr = float(n) ** nu
-        freq = float(np.mean(np.abs(qa.values - qa.mean) >= thr))
+        freq = float(np.mean(np.abs(qa.values - qa.mean) >= float(n) ** nu))
         freq_se = float(np.sqrt(max(freq * (1 - freq), 1.0 / len(seeds)) / len(seeds)))
-        rows.append(ConcentrationRow(
-            n=int(n), R=len(seeds), mean=qa.mean, std=std,
-            exceedance_freq=freq, exceedance_stderr=freq_se,
-            paper_bound=concentration_bound(n, nu), std_over_n_nu=std / thr))
-    return rows
+        reports.append(make_report(f"concentration_tail(n={n},nu={nu:g})", freq, freq_se,
+                                   upper=concentration_bound(n, nu)))
+    return reports
 
 
 def reference_girsanov_identity_test(n, lam, params, env_seeds, kernel=KernelSpec(), h=None,
@@ -175,11 +171,11 @@ def test_fluctuation_fit_matches_per_n_loop(d, backend, kernel):
     assert fluctuation_fit(*args, **kw) == reference_fluctuation_fit(*args, **kw)
 
 
-def test_concentration_scan_matches_per_n_loop():
+def test_concentration_test_matches_per_n_loop():
     params = GibbsParams(beta=0.8, M=40)
-    args = (params, 0.75, [2, 3, 5], range(300, 500))
+    args = (0.75, [2, 3, 5], params, range(300, 500))
     kw = dict(kernel=KernelSpec(lam=1.5), threads=2)
-    assert concentration_scan(*args, **kw) == reference_concentration_scan(*args, **kw)
+    assert concentration_test(*args, **kw) == reference_concentration_scan(*args, **kw)
 
 
 @pytest.mark.parametrize("L", [None, 12.0])

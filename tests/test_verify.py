@@ -16,7 +16,7 @@ from polymerlab.kernels import KernelSpec
 from polymerlab.quadrature import _logsumexp
 from polymerlab.verify import (BoundConstants, ExpoIneqCase, _conditional_log_w, _draw_batches,
                                _tilted_report, ball_bound_test, check_expo_ineq,
-                               check_log_moment_bounds, concentration_bound, concentration_scan,
+                               check_log_moment_bounds, concentration_bound, concentration_test,
                                girsanov_identity_test, make_report, martingale_increment_probe,
                                mean_control_test, random_expo_cases)
 from polymerlab.walk import PathEnsemble, TiltSpec, sample_paths, tilt_log_weight, tilt_path
@@ -34,6 +34,16 @@ def test_bound_constants_reference_values():
     assert bc.c == pytest.approx(bc.c1)
     assert bc.K == pytest.approx(math.exp((math.e**2 - 1) / 16) + math.exp(0.25))
     assert bc.K > 2.0
+
+
+@pytest.mark.parametrize("beta, K", [(0.5, 2.7748300643537314), (1.0, 7.694969091505724e+80),
+                                     (1.1, math.inf), (2.0, math.inf), (1e200, math.inf)])
+def test_increment_constant_is_inf_where_it_overflows(beta, K):
+    assert BoundConstants(beta=beta).K == K
+
+
+def test_c1_is_inf_where_beta_squared_overflows():
+    assert BoundConstants(beta=1e200).c1 == math.inf
 
 
 @settings(max_examples=200)
@@ -372,17 +382,32 @@ def test_concentration_bound_reference_value():
 
 
 def test_concentration_free_measure_logZ_is_zero():
-    rows = concentration_scan(GibbsParams(beta=0.0, M=50), 0.75, [4, 8], range(200))
-    for row in rows:
-        assert row.std == 0.0 and row.exceedance_freq == 0.0
+    reports = concentration_test(0.75, [4, 8], GibbsParams(beta=0.0, M=50), range(200))
+    assert [r.name for r in reports] == ["concentration_tail(n=4,nu=0.75)",
+                                         "concentration_tail(n=8,nu=0.75)"]
+    for r, n in zip(reports, [4, 8]):
+        # every log Z_n is 0, so no deviation; the stderr is floored at one in R
+        assert r.estimate == 0.0 and r.stderr == 1.0 / 200
+        assert r.upper_bound == concentration_bound(n, 0.75) and r.passed
 
 
 def test_concentration_preconditions():
     params = GibbsParams(beta=0.5, M=50)
-    with pytest.raises(ValueError):
-        concentration_scan(params, 0.4, [8], range(200))
-    with pytest.raises(ValueError):
-        concentration_scan(params, 0.75, [8], range(100))
+    with pytest.raises(ValueError, match="nu must exceed 1/2"):
+        concentration_test(0.4, [8], params, range(200))
+    with pytest.raises(ValueError, match=">= 200 replicas"):
+        concentration_test(0.75, [8], params, range(199))
+
+
+@pytest.mark.parametrize("nu", [400.0, 1e308])
+def test_concentration_overflowing_powers_give_frequency_and_bound_zero(nu):
+    # 9**400 and 4**1e308 overflow a float: no deviation reaches them, and the bound is 0
+    assert concentration_bound(9, nu) == concentration_bound(4, nu) == 0.0
+    assert concentration_bound(1, nu) == math.exp(-0.25)
+    reports = concentration_test(nu, [1, 4, 9], GibbsParams(beta=0.5, M=20), range(200))
+    assert [r.upper_bound for r in reports] == [math.exp(-0.25), 0.0, 0.0]
+    for r in reports[1:]:
+        assert r.estimate == 0.0 and r.margin_sigmas == 0.0 and r.passed
 
 
 def test_replica_fan_outs_name_the_failed_replica():
@@ -390,7 +415,7 @@ def test_replica_fan_outs_name_the_failed_replica():
     params = GibbsParams(beta=0.5, M=50)
     for run in (lambda: mean_control_test([0.8], [9], params, range(2), L=1.0),
                 lambda: ball_bound_test(0.75, [9], [[2]], params, range(2), L=1.0),
-                lambda: concentration_scan(params, 0.75, [9], range(200), L=1.0)):
+                lambda: concentration_test(0.75, [9], params, range(200), L=1.0)):
         with pytest.raises(ReplicaError, match=r"replica 0 \(seed 0\)"):
             run()
 
