@@ -4,4 +4,4 @@ The public API is the package's modules, imported by name, and the
 ``polymerlab`` console script (``polymerlab.cli``).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -242,10 +242,11 @@ _SUITE_RUNNERS = {
     "increment": _suite_increment,
 }
 VERIFY_SUITES = tuple(_SUITE_RUNNERS)     # in the order `verify all` reports them
-# the order worker processes take them in: longest first (Graham's LPT rule), so the last
-# suite to start is a short one; increment and meancontrol lead at the default config
-SUITES_LONGEST_FIRST = ("increment", "meancontrol", "lemma21", "ball", "concentration", "lemma22",
-                        "girsanov")
+# the order worker processes take them in: longest first (Graham's LPT rule) at the
+# verify-d1-t2 config, so the last suite to start is a short one, the moment suites last;
+# on two workers it also ends sooner at the default config than that config's own order
+SUITES_LONGEST_FIRST = ("increment", "ball", "meancontrol", "concentration", "girsanov", "lemma21",
+                        "lemma22")
 
 
 def _run_suite(name: str, cfg: RunConfig) -> tuple[list[BoundCheckReport], float, list]:

@@ -50,6 +50,23 @@ def test_node_doubling_stability():
     assert abs(m80 - m40) / max(abs(m40), 1e-12) < 1e-8
 
 
+@pytest.mark.parametrize("seed", [20240817, 1, 3])
+def test_default_node_count_matches_forty_nodes_on_the_moment_cases(seed):
+    """GH_NODES nodes per axis agree with 40 to 1e-12 on the suites' 3- and 4-atom measures.
+
+    Over seeds 0 to 59 the worst relative gap to 40 nodes was 2.8e-12 at
+    16 nodes, 3.0e-14 at 20 and 7.0e-15 at 24.
+    """
+    cases = [c for c in random_expo_cases(seed) if len(c.mu_atoms) >= 3]
+    assert cases
+    for case in cases:
+        for check in (lambda **kw: check_expo_ineq(case, **kw),
+                      lambda **kw: check_log_moment_bounds(case.mu_atoms, case.mu_weights,
+                                                           case.beta, case.kernel, **kw)):
+            default, forty = check().estimate, check(n_nodes=40).estimate
+            assert math.isclose(default, forty, rel_tol=1e-12), (case, default, forty)
+
+
 def test_monte_carlo_agrees_with_quadrature():
     cov = gamma_matrix(KernelSpec(), np.array([[0.0], [0.9]]))
     a = np.array([0.4, 0.4])
@@ -260,9 +277,9 @@ def test_four_atom_oracles_stay_below_256_mib():
     """The 40^4-node grid is evaluated in batches; the one-shot grid peaked at 754 MiB."""
     case = next(c for c in random_expo_cases(20240817) if len(c.mu_atoms) == 4)
     peaks = []
-    for check in (lambda: check_expo_ineq(case),
+    for check in (lambda: check_expo_ineq(case, n_nodes=40),
                   lambda: check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta,
-                                                  case.kernel)):
+                                                  case.kernel, n_nodes=40)):
         tracemalloc.start()
         try:
             assert check().passed
@@ -283,10 +300,10 @@ def test_four_atom_oracle_peaks_below_8_mib(oracle):
     tracemalloc.start()
     try:
         if oracle == "expo_ineq":
-            assert check_expo_ineq(case).passed
+            assert check_expo_ineq(case, n_nodes=40).passed
         else:
             assert check_log_moment_bounds(case.mu_atoms, case.mu_weights, case.beta,
-                                           case.kernel).passed
+                                           case.kernel, n_nodes=40).passed
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()

@@ -46,6 +46,11 @@ def test_c1_is_inf_where_beta_squared_overflows():
     assert BoundConstants(beta=1e200).c1 == math.inf
 
 
+def test_c2_reaches_its_limit_where_beta_squared_overflows():
+    assert BoundConstants(beta=1e200, sigma2=1.0).c2 == 0.5
+    assert BoundConstants(beta=0.5, sigma2=1.0).c2 == (1.0 - math.exp(-0.5**2 * 1.0)) / 2.0
+
+
 @settings(max_examples=200)
 @given(beta=st.floats(min_value=1e-3, max_value=3.0),
        sigma2=st.floats(min_value=1e-2, max_value=4.0))
